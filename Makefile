@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint bench bench-smoke bench-perf bench-columnar backend-equivalence service-smoke fleet-smoke fleet-saturation graphplane-smoke delta-smoke slo-check experiments examples coverage clean
+.PHONY: install test lint bench bench-smoke bench-perf bench-columnar backend-equivalence http-wire service-smoke fleet-smoke fleet-saturation graphplane-smoke delta-smoke slo-check experiments examples coverage clean
 
 install:
 	pip install -e .
@@ -59,6 +59,14 @@ backend-equivalence:
 		tests/test_faults/test_runner_faults.py \
 		tests/test_simulator/test_backends.py \
 		tests/test_properties/test_backend_equivalence.py
+
+# HTTP wire suite: hostile bytes (malformed request lines, bad
+# Content-Length, header floods, over-long lines, truncated bodies,
+# pipelining, HEAD, a hypothesis fuzz) against both the worker server
+# and the fleet router.  -X dev turns on asyncio debug mode and
+# unclosed-resource warnings.  See tests/test_service/test_http_wire.py.
+http-wire:
+	PYTHONPATH=src $(PYTHON) -X dev -m pytest -q tests/test_service/test_http_wire.py
 
 # Solver-service smoke: start `repro serve` on an ephemeral port, check
 # /v1/health, assert one fixed-seed HTTP solve is byte-identical to

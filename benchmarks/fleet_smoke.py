@@ -44,6 +44,8 @@ import sys
 import tempfile
 import time
 
+from repro.service.http import fetch
+
 BANNER = re.compile(r"repro-fleet listening on http://([0-9.]+):(\d+)")
 
 
@@ -71,27 +73,6 @@ def _start_fleet(scratch: str, workers: int):
         raise AssertionError(f"fleet did not start:\n{fh.read()}")
 
 
-def _http(host: str, port: int, method: str, path: str,
-          body: bytes = b"") -> tuple:
-    """One plain-socket HTTP request; returns (status, parsed body)."""
-    import socket
-
-    with socket.create_connection((host, port), timeout=60.0) as sock:
-        head = (f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
-                f"Content-Length: {len(body)}\r\nConnection: close\r\n"
-                f"\r\n").encode()
-        sock.sendall(head + body)
-        raw = b""
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            raw += chunk
-    header_blob, _, payload = raw.partition(b"\r\n\r\n")
-    status = int(header_blob.split(b" ", 2)[1])
-    return status, json.loads(payload) if payload else None
-
-
 def _request_bodies(unique: int) -> list:
     from repro.api import SolveRequest
     from repro.graphs import gnp, uniform_weights
@@ -110,10 +91,10 @@ def _check_coalescing_survives_sharding(host: str, port: int) -> dict:
     bodies = [body for body in _request_bodies(unique) for _ in range(dup)]
     with concurrent.futures.ThreadPoolExecutor(max_workers=len(bodies)) as ex:
         results = list(ex.map(
-            lambda b: _http(host, port, "POST", "/v1/solve", b), bodies))
+            lambda b: fetch(host, port, "POST", "/v1/solve", b), bodies))
     for status, doc in results:
         assert status == 200, (status, doc)
-    status, metrics = _http(host, port, "GET", "/v1/metrics")
+    status, metrics = fetch(host, port, "GET", "/v1/metrics")
     assert status == 200, (status, metrics)
     assert metrics["executed"] == unique, (
         f"coalescing broke across shards: {unique} unique fingerprints but "
@@ -134,7 +115,7 @@ def _check_byte_identity(host: str, port: int) -> None:
     graph = uniform_weights(gnp(30, 0.12, seed=5), 1, 20, seed=6)
     request = SolveRequest(graph=graph, algorithm="thm2", seed=7,
                            params={"eps": 0.5})
-    status, envelope = _http(host, port, "POST", "/v1/solve",
+    status, envelope = fetch(host, port, "POST", "/v1/solve",
                              request.to_json().encode())
     assert status == 200, (status, envelope)
     wire = json.dumps(envelope["report"], sort_keys=True,
@@ -162,11 +143,11 @@ def main() -> int:
     try:
         proc, log, log_path, host, port = _start_fleet(scratch, args.workers)
 
-        status, doc = _http(host, port, "GET", "/v1/ready")
+        status, doc = fetch(host, port, "GET", "/v1/ready")
         assert status == 200 and doc["status"] == "ready", (status, doc)
         assert doc["workers_ready"] == args.workers, doc
 
-        status, doc = _http(host, port, "GET", "/v1/health")
+        status, doc = fetch(host, port, "GET", "/v1/health")
         assert status == 200 and doc["status"] == "ok", (status, doc)
         assert doc["workers_alive"] == args.workers, doc
         for worker_id, entry in doc["workers"].items():

@@ -49,6 +49,8 @@ import sys
 import tempfile
 import time
 
+from repro.service.http import fetch
+
 BANNER = re.compile(r"repro-serve listening on http://([0-9.]+):(\d+)")
 
 
@@ -76,27 +78,6 @@ def _start_server(scratch: str, tag: str = "serve"):
         raise AssertionError(f"server did not start:\n{fh.read()}")
 
 
-def _http(host: str, port: int, method: str, path: str,
-          body: bytes = b"") -> tuple:
-    """One plain-socket HTTP request; returns (status, parsed body)."""
-    import socket
-
-    with socket.create_connection((host, port), timeout=120.0) as sock:
-        head = (f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
-                f"Content-Length: {len(body)}\r\nConnection: close\r\n"
-                f"\r\n").encode()
-        sock.sendall(head + body)
-        raw = b""
-        while True:
-            chunk = sock.recv(1 << 20)
-            if not chunk:
-                break
-            raw += chunk
-    header_blob, _, payload = raw.partition(b"\r\n\r\n")
-    status = int(header_blob.split(b" ", 2)[1])
-    return status, json.loads(payload) if payload else None
-
-
 def _shm_path(fingerprint: str) -> str:
     from repro.graphs.store import shm_segment_name
 
@@ -115,23 +96,23 @@ def _check_registry_and_byte_identity(host: str, port: int) -> str:
     graph = uniform_weights(gnp(30, 0.12, seed=5), 1, 20, seed=6)
     fp = graph.fingerprint()
 
-    status, reg = _http(host, port, "POST", "/v1/graphs",
+    status, reg = fetch(host, port, "POST", "/v1/graphs",
                         graph_io.to_bytes(graph))
     assert status == 200, (status, reg)
     assert reg["graph_ref"] == fp, reg
     assert reg["n"] == graph.n and reg["m"] == graph.m, reg
 
-    status, info = _http(host, port, "GET", f"/v1/graphs/{fp}")
+    status, info = fetch(host, port, "GET", f"/v1/graphs/{fp}")
     assert status == 200 and info["n"] == graph.n, (status, info)
 
     body_doc = SolveRequest(graph=graph, algorithm="thm2", seed=7,
                             params={"eps": 0.5}).to_doc()
     ref_doc = dict(body_doc)
-    ref_doc["graph"] = {"graph_ref": fp}
+    ref_doc["graph"] = {"ref": fp}
 
-    s1, env1 = _http(host, port, "POST", "/v1/solve",
+    s1, env1 = fetch(host, port, "POST", "/v1/solve",
                      json.dumps(body_doc).encode())
-    s2, env2 = _http(host, port, "POST", "/v1/solve",
+    s2, env2 = fetch(host, port, "POST", "/v1/solve",
                      json.dumps(ref_doc).encode())
     assert s1 == s2 == 200, (s1, s2, env1, env2)
     assert env1["report"] == env2["report"], (
@@ -142,9 +123,9 @@ def _check_registry_and_byte_identity(host: str, port: int) -> str:
     assert wire == direct, (
         f"served report diverged from repro.api.solve:\n{wire}\n{direct}")
 
-    status, out = _http(host, port, "DELETE", f"/v1/graphs/{fp}")
+    status, out = fetch(host, port, "DELETE", f"/v1/graphs/{fp}")
     assert status == 200 and out["evicted"] is True, (status, out)
-    status, err = _http(host, port, "POST", "/v1/solve",
+    status, err = fetch(host, port, "POST", "/v1/solve",
                         json.dumps(ref_doc).encode())
     assert status == 404, (
         f"evicted ref still solvable (status {status}): {err}")
@@ -177,7 +158,7 @@ def _solve_docs(graph, fp: str, seed: int):
     body_doc = SolveRequest(graph=graph, algorithm="mis-det", seed=seed,
                             backend="columnar").to_doc()
     ref_doc = dict(body_doc)
-    ref_doc["graph"] = {"graph_ref": fp}
+    ref_doc["graph"] = {"ref": fp}
     return json.dumps(body_doc).encode(), json.dumps(ref_doc).encode()
 
 
@@ -206,17 +187,17 @@ def _measure_cell(host: str, port: int, n: int, repeats: int) -> dict:
     body, ref_body = _solve_docs(graph, fp, seed=7)
 
     t0 = time.perf_counter()
-    status, reg = _http(host, port, "POST", "/v1/graphs", blob_bytes)
+    status, reg = fetch(host, port, "POST", "/v1/graphs", blob_bytes)
     ingest_s = time.perf_counter() - t0
     assert status == 200 and reg["graph_ref"] == fp, (status, reg)
 
     t0 = time.perf_counter()
-    status, cold_env = _http(host, port, "POST", "/v1/solve", ref_body)
+    status, cold_env = fetch(host, port, "POST", "/v1/solve", ref_body)
     cold_ref_s = time.perf_counter() - t0
     assert status == 200, (status, cold_env)
 
     t0 = time.perf_counter()
-    status, warm_env = _http(host, port, "POST", "/v1/solve", body)
+    status, warm_env = fetch(host, port, "POST", "/v1/solve", body)
     warm_body_s = time.perf_counter() - t0
     assert status == 200, (status, warm_env)
     assert warm_env["report"] == cold_env["report"], (
@@ -230,13 +211,13 @@ def _measure_cell(host: str, port: int, n: int, repeats: int) -> dict:
     for i in range(repeats):
         fresh, _ = _solve_docs(graph, fp, seed=100 + i)
         t0 = time.perf_counter()
-        status, env = _http(host, port, "POST", "/v1/solve", fresh)
+        status, env = fetch(host, port, "POST", "/v1/solve", fresh)
         fresh_body.append(time.perf_counter() - t0)
         assert status == 200 and not env["served"]["cached"], env["served"]
     for i in range(repeats):
         _, fresh = _solve_docs(graph, fp, seed=200 + i)
         t0 = time.perf_counter()
-        status, env = _http(host, port, "POST", "/v1/solve", fresh)
+        status, env = fetch(host, port, "POST", "/v1/solve", fresh)
         fresh_ref.append(time.perf_counter() - t0)
         assert status == 200 and not env["served"]["cached"], env["served"]
 
@@ -245,11 +226,11 @@ def _measure_cell(host: str, port: int, n: int, repeats: int) -> dict:
     cached_body, cached_ref = [], []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        status, env = _http(host, port, "POST", "/v1/solve", body)
+        status, env = fetch(host, port, "POST", "/v1/solve", body)
         cached_body.append(time.perf_counter() - t0)
         assert status == 200 and env["served"]["cached"], env["served"]
         t0 = time.perf_counter()
-        status, env = _http(host, port, "POST", "/v1/solve", ref_body)
+        status, env = fetch(host, port, "POST", "/v1/solve", ref_body)
         cached_ref.append(time.perf_counter() - t0)
         assert status == 200 and env["served"]["cached"], env["served"]
 
@@ -259,7 +240,7 @@ def _measure_cell(host: str, port: int, n: int, repeats: int) -> dict:
     # the store's own shm segments would register in this process's
     # resource tracker and warn at exit).
     t0 = time.perf_counter()
-    rebuilt = graph_io.from_doc(json.loads(body)["graph"])
+    rebuilt = graph_io.from_doc(json.loads(body)["graph"]["inline"])
     parse_s = time.perf_counter() - t0
     assert rebuilt.fingerprint() == fp
 
@@ -321,7 +302,7 @@ def _check_crash_reclaims_arena(scratch: str) -> bool:
     graph = uniform_weights(gnp(24, 0.2, seed=8), 1, 9, seed=9)
     proc, log, log_path, host, port = _start_server(scratch, tag="crash")
     try:
-        status, reg = _http(host, port, "POST", "/v1/graphs",
+        status, reg = fetch(host, port, "POST", "/v1/graphs",
                             graph_io.to_bytes(graph))
         assert status == 200, (status, reg)
         seg = _shm_path(graph.fingerprint())
@@ -361,7 +342,7 @@ def main() -> int:
     try:
         proc, log, log_path, host, port = _start_server(scratch)
 
-        status, doc = _http(host, port, "GET", "/v1/health")
+        status, doc = fetch(host, port, "GET", "/v1/health")
         assert status == 200 and doc["status"] == "ok", (status, doc)
 
         smoke_fp = _check_registry_and_byte_identity(host, port)

@@ -35,6 +35,8 @@ import sys
 import tempfile
 import time
 
+from repro.service.http import fetch
+
 BANNER = re.compile(r"listening on http://([0-9.]+):(\d+)")
 
 
@@ -60,27 +62,6 @@ def _start_server(scratch: str):
         raise AssertionError(f"server did not start:\n{fh.read()}")
 
 
-def _http(host: str, port: int, method: str, path: str,
-          body: bytes = b"") -> tuple:
-    """One plain-socket HTTP request; returns (status, parsed body)."""
-    import socket
-
-    with socket.create_connection((host, port), timeout=30.0) as sock:
-        head = (f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
-                f"Content-Length: {len(body)}\r\nConnection: close\r\n"
-                f"\r\n").encode()
-        sock.sendall(head + body)
-        raw = b""
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            raw += chunk
-    header_blob, _, payload = raw.partition(b"\r\n\r\n")
-    status = int(header_blob.split(b" ", 2)[1])
-    return status, json.loads(payload) if payload else None
-
-
 def _check_byte_identity(host: str, port: int) -> None:
     # PYTHONPATH=src puts repro in reach of the driver itself.
     from repro.api import SolveRequest, solve
@@ -89,7 +70,7 @@ def _check_byte_identity(host: str, port: int) -> None:
     graph = uniform_weights(gnp(30, 0.12, seed=3), 1, 20, seed=4)
     request = SolveRequest(graph=graph, algorithm="thm2", seed=7,
                            params={"eps": 0.5})
-    status, envelope = _http(host, port, "POST", "/v1/solve",
+    status, envelope = fetch(host, port, "POST", "/v1/solve",
                              request.to_json().encode())
     assert status == 200, (status, envelope)
     wire = json.dumps(envelope["report"], sort_keys=True,
@@ -114,7 +95,7 @@ def main() -> int:
     try:
         proc, log, log_path, host, port = _start_server(scratch)
 
-        status, doc = _http(host, port, "GET", "/v1/health")
+        status, doc = fetch(host, port, "GET", "/v1/health")
         assert status == 200 and doc["status"] == "ok", (status, doc)
 
         _check_byte_identity(host, port)

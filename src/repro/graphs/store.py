@@ -28,6 +28,7 @@ otherwise unlink the creator's segment when it exits.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import mmap
 import os
@@ -40,8 +41,8 @@ from repro.exceptions import GraphFormatError, ReproError
 from repro.graphs import io as graph_io
 from repro.graphs.weighted_graph import WeightedGraph
 
-__all__ = ["GraphRef", "GraphStore", "UnknownGraphRef", "get_store",
-           "resolve", "shm_segment_name"]
+__all__ = ["GraphRef", "GraphStore", "UnknownGraphRef", "atomic_write",
+           "get_store", "resolve", "shm_segment_name"]
 
 _BLOB_SUFFIX = ".rwg"
 _SHM_PREFIX = "repro_g_"
@@ -125,7 +126,7 @@ class GraphStore:
         fp = graph.fingerprint()
         path = self._path(fp)
         if not path.exists():
-            _atomic_write(path, graph_io.to_bytes(graph))
+            atomic_write(path, graph_io.to_bytes(graph))
         self._graphs.setdefault(fp, graph)
         if self.use_shm and fp not in self._owned_shm:
             self._export_shm(fp, path)
@@ -176,7 +177,7 @@ class GraphStore:
         doc["touched"] = sorted(info.touched)
         sidecar = self._chain_path(ref.ref)
         if not sidecar.exists():
-            _atomic_write(sidecar, json.dumps(
+            atomic_write(sidecar, json.dumps(
                 doc, sort_keys=True, separators=(",", ":")).encode())
         self._chains[ref.ref] = (parent, delta)
         return ref
@@ -469,10 +470,20 @@ def _read_meta(path: Path) -> Dict[str, Any]:
         return _blob_meta(head + fh.read(header_len))
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+def atomic_write(path: Union[str, Path], data: bytes) -> None:
+    """Write through a temp file of this call's own, then ``os.replace``:
+    readers never see a torn file, and concurrent writers — threads of
+    one process too — never share a temp file.  Failures leave none."""
+    directory, name = os.path.split(os.fspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory or ".", prefix=f"{name}.tmp.")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _close_shm(shm) -> None:

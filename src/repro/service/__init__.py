@@ -4,8 +4,13 @@ Layers:
 
 * :mod:`repro.service.engine` — coalescing, admission control,
   micro-batching over the batch engine (HTTP-free; unit-testable).
-* :mod:`repro.service.server` — the stdlib HTTP/1.1 front end
-  (``repro serve``).
+* :mod:`repro.service.http` — the one HTTP/1.1 codec: request reader,
+  response writer, route table, keep-alive client and blocking
+  ``fetch``; the only module that knows the wire format.
+* :mod:`repro.service.server` — the solver's route table and handlers
+  over that codec (``repro serve``).
+* :mod:`repro.service.cache` — the bounded LRU behind the engine's
+  memory tier and the server's parse cache.
 * :mod:`repro.service.loadgen` — the closed-loop benchmark client
   (``repro loadgen``), open-loop arrivals, and the churn benchmark
   against a mutating graph (``repro loadgen --churn``).

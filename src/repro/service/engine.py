@@ -44,7 +44,7 @@ from repro.exceptions import ReproError
 from repro.graphs.store import GraphRef
 from repro.obs.telemetry import new_trace_id
 from repro.registry import algorithm_registry
-from repro.service.fleet.cache import LruCache
+from repro.service.cache import LruCache
 from repro.service.stats import ServiceStats
 
 __all__ = [

@@ -10,51 +10,33 @@ Layers:
 
 * :mod:`repro.service.fleet.routing` — deterministic sha256 shard
   assignment (never Python ``hash()``).
-* :mod:`repro.service.fleet.cache` — the in-memory LRU that forms the
-  first tier of the two-tier (memory → disk) result cache.
 * :mod:`repro.service.fleet.supervisor` — worker lifecycle: spawn,
   readiness checks, restart-on-crash, graceful drain.
 * :mod:`repro.service.fleet.router` — the asyncio HTTP router
-  (``repro fleet``) with fleet-wide metric aggregation.
+  (``repro fleet``) with fleet-wide metric aggregation: a route table
+  over :mod:`repro.service.http` (the codec and keep-alive client it
+  shares with the worker server).
 * :mod:`repro.service.fleet.aggregate` — merging per-worker
   ``/v1/metrics`` snapshots into one fleet document (JSON + Prometheus).
 * :mod:`repro.service.fleet.saturation` — the open-loop saturation
   sweep that finds the throughput/latency knee per worker count and
   writes ``BENCH_fleet.json``.
+
+The first tier of the two-tier (memory → disk) result cache is the
+engine's :mod:`repro.service.cache` LRU, which the router also uses for
+its routing cache; the single-process engine imports nothing from this
+package.
 """
 
-from importlib import import_module
-from typing import Any
-
-from repro.service.fleet.cache import LruCache
+from repro.service.fleet.aggregate import aggregate_snapshots, render_fleet_prometheus
+from repro.service.fleet.router import FleetRouter, run_fleet
 from repro.service.fleet.routing import routing_key, shard_for_key, shard_for_request
-
-# The heavier modules (router, supervisor, saturation) import the engine
-# and server layers, which themselves use the cache tier above — they are
-# resolved lazily so `repro.service.engine` can import this package
-# without a cycle.
-_LAZY = {
-    "aggregate_snapshots": "repro.service.fleet.aggregate",
-    "render_fleet_prometheus": "repro.service.fleet.aggregate",
-    "FleetRouter": "repro.service.fleet.router",
-    "run_fleet": "repro.service.fleet.router",
-    "saturation_sweep": "repro.service.fleet.saturation",
-    "FleetSupervisor": "repro.service.fleet.supervisor",
-    "ThreadedFleet": "repro.service.fleet.supervisor",
-}
-
-
-def __getattr__(name: str) -> Any:
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(module), name)
-
+from repro.service.fleet.saturation import saturation_sweep
+from repro.service.fleet.supervisor import FleetSupervisor, ThreadedFleet
 
 __all__ = [
     "FleetRouter",
     "FleetSupervisor",
-    "LruCache",
     "ThreadedFleet",
     "aggregate_snapshots",
     "render_fleet_prometheus",

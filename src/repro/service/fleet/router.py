@@ -46,8 +46,7 @@ import asyncio
 import contextlib
 import hashlib
 import json
-import signal
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs
 
 from repro._version import __version__
@@ -58,25 +57,29 @@ from repro.api import (
     delta_route_key_from_doc,
     request_key_from_doc,
 )
-from repro.service.errors import HTTP_REASONS, error_doc, pop_headers
+from repro.service.cache import LruCache
+from repro.service.errors import error_doc
 from repro.service.fleet.aggregate import (
     aggregate_snapshots,
     render_fleet_prometheus,
 )
-from repro.service.fleet.cache import LruCache
 from repro.service.fleet.routing import shard_for_key
-from repro.service.fleet.supervisor import FleetSupervisor, WorkerEndpoint
-from repro.service.server import (
+from repro.service.fleet.supervisor import FleetSupervisor
+from repro.service.http import (
     JSON_CONTENT_TYPE,
-    MAX_BODY_BYTES,
+    Call,
+    HttpClient,
+    HttpServer,
+    Reply,
+)
+from repro.service.server import (
     PROMETHEUS_CONTENT_TYPE,
     SolverServer,
+    v1_routes,
 )
 
 __all__ = ["FleetRouter", "run_fleet"]
 
-# How many idle keep-alive connections the router parks per worker.
-POOL_SIZE = 16
 # Worker-side request timeout the router enforces on proxied calls
 # (workers enforce per-request deadlines themselves; this is the
 # backstop against a hung worker socket).
@@ -85,111 +88,15 @@ HEALTH_TIMEOUT_S = 5.0
 REAP_INTERVAL_S = 1.0
 
 
-class _UpstreamError(Exception):
-    """The proxied worker could not be reached or answered garbage."""
-
-
-class _WorkerChannel:
-    """Keep-alive connection pool to one worker endpoint."""
-
-    def __init__(self, endpoint: WorkerEndpoint) -> None:
-        self.endpoint = endpoint
-        self._free: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
-
-    async def request(self, method: str, path: str, body: bytes = b"",
-                      timeout_s: float = PROXY_TIMEOUT_S,
-                      ) -> Tuple[int, bytes, str]:
-        """Proxy one request; returns (status, body, content type).
-
-        A pooled connection may have been closed by the worker while
-        parked; the first attempt reuses one, the second always dials
-        fresh before the failure is declared upstream.
-        """
-        last: Optional[BaseException] = None
-        for attempt in (1, 2):
-            conn = self._free.pop() if (attempt == 1 and self._free) else None
-            try:
-                if conn is None:
-                    conn = await asyncio.wait_for(
-                        asyncio.open_connection(self.endpoint.host,
-                                                self.endpoint.port),
-                        timeout=HEALTH_TIMEOUT_S,
-                    )
-                reader, writer = conn
-                head = (
-                    f"{method} {path} HTTP/1.1\r\n"
-                    f"Host: {self.endpoint.host}:{self.endpoint.port}\r\n"
-                    f"Content-Type: {JSON_CONTENT_TYPE}\r\n"
-                    f"Content-Length: {len(body)}\r\n"
-                    f"\r\n"
-                ).encode("latin-1")
-                writer.write(head + body)
-                await writer.drain()
-                status, payload, ctype, reusable = await asyncio.wait_for(
-                    self._read_response(reader), timeout=timeout_s)
-                if reusable and len(self._free) < POOL_SIZE:
-                    self._free.append((reader, writer))
-                else:
-                    await _close_writer(writer)
-                return status, payload, ctype
-            except (OSError, asyncio.IncompleteReadError,
-                    asyncio.TimeoutError, ConnectionError) as exc:
-                last = exc
-                if conn is not None:
-                    await _close_writer(conn[1])
-        raise _UpstreamError(
-            f"worker {self.endpoint.worker_id} "
-            f"({self.endpoint.host}:{self.endpoint.port}): {last}")
-
-    @staticmethod
-    async def _read_response(
-        reader: asyncio.StreamReader,
-    ) -> Tuple[int, bytes, str, bool]:
-        status_line = await reader.readline()
-        if not status_line:
-            raise ConnectionError("worker closed connection")
-        status = int(status_line.split()[1])
-        length = 0
-        ctype = JSON_CONTENT_TYPE
-        keep = True
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            lname = name.strip().lower()
-            if lname == "content-length":
-                length = int(value.strip())
-            elif lname == "content-type":
-                ctype = value.strip()
-            elif lname == "connection" and value.strip().lower() == "close":
-                keep = False
-        payload = await reader.readexactly(length) if length else b""
-        return status, payload, ctype, keep
-
-    async def close(self) -> None:
-        for _, writer in self._free:
-            await _close_writer(writer)
-        self._free.clear()
-
-
-async def _close_writer(writer: asyncio.StreamWriter) -> None:
-    with contextlib.suppress(Exception):
-        writer.close()
-        await writer.wait_closed()
-
-
-class FleetRouter:
+class FleetRouter(HttpServer):
     """Shard-routing HTTP proxy over a supervisor's worker pool."""
 
     def __init__(self, supervisor: Any, *, host: str = "127.0.0.1",
                  port: int = 0, routing_cache: int = 4096) -> None:
+        super().__init__(host, port)
         self.supervisor = supervisor
-        self.host = host
-        self.port = port
         self._endpoints = supervisor.endpoints()
-        self._channels = [_WorkerChannel(e) for e in self._endpoints]
-        self._server: Optional[asyncio.base_events.Server] = None
+        self._clients = [HttpClient(e.host, e.port) for e in self._endpoints]
         self._reaper: Optional[asyncio.Task] = None
         self._draining = False
         # body sha256 → shard key: repeats skip the JSON parse.
@@ -201,6 +108,7 @@ class FleetRouter:
             "parse_routed": 0, "ref_routed": 0, "delta_routed": 0,
             "body_routed": 0, "upstream_errors": 0, "restarts": 0,
         }
+        self.routes = v1_routes(self)
 
     @property
     def shards(self) -> int:
@@ -211,31 +119,33 @@ class FleetRouter:
     # ----------------------------------------------------------------- #
 
     async def start(self) -> int:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
+        port = await super().start()
         self._reaper = asyncio.get_running_loop().create_task(
             self._reap_loop())
-        return self.port
+        return port
 
     async def shutdown(self, *, drain_workers: bool = True) -> None:
-        """Stop admitting, drain the workers, close every channel."""
+        """Stop admitting, drain the workers, close every connection."""
         self._draining = True
         if self._reaper is not None:
             self._reaper.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._reaper
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        self._stop_listening()
         # Parked keep-alive connections are closed before the workers
-        # drain — a draining worker cancelling a half-open router
-        # connection is pure teardown noise.
-        for channel in self._channels:
-            await channel.close()
+        # drain, so a draining worker has no idle router connection to
+        # wait out; the second pass closes the ones requests finishing
+        # during the drain handed back.
+        await self._close_clients()
         if drain_workers:
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(None, self.supervisor.drain)
+        await self._close_connections()
+        await self._close_clients()
+
+    async def _close_clients(self) -> None:
+        for client in self._clients:
+            await client.close()
 
     async def _reap_loop(self) -> None:
         """Restart crashed workers in the background (supervisor.check
@@ -252,108 +162,31 @@ class FleetRouter:
             if restarted:
                 self.stats["restarts"] += len(restarted)
 
-    # ----------------------------------------------------------------- #
-    # connection handling (same minimal HTTP/1.1 as the worker server)
-    # ----------------------------------------------------------------- #
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
+    async def _request(self, index: int, method: str, path: str,
+                       body: bytes = b"", *,
+                       timeout_s: float = PROXY_TIMEOUT_S,
+                       probe: bool = False) -> Optional[Tuple[int, bytes]]:
+        """One call to worker ``index``; ``None`` when it cannot be
+        reached.  That marks the worker dead for the reaper, unless the
+        call was a ``probe`` (a health or metrics poll)."""
+        endpoint = self._endpoints[index]
+        client = self._clients[index]
+        if client.port != endpoint.port:  # respawned on a new port
+            await client.close()
+            client = self._clients[index] = HttpClient(endpoint.host,
+                                                       endpoint.port)
         try:
-            while True:
-                parsed = await self._read_request(reader)
-                if parsed is None:
-                    return
-                method, path, headers, body = parsed
-                keep_alive = headers.get("connection", "").lower() != "close"
-                status, payload, ctype = await self._route(method, path, body)
-                await self._write_response(writer, status, payload, ctype,
-                                           close=not keep_alive)
-                if not keep_alive:
-                    return
-        except (ConnectionResetError, BrokenPipeError,
-                asyncio.IncompleteReadError, ValueError):
-            pass
-        finally:
-            await _close_writer(writer)
-
-    @staticmethod
-    async def _read_request(
-        reader: asyncio.StreamReader,
-    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        line = await reader.readline()
-        if not line:
+            return await client.request(method, path, body,
+                                        timeout_s=timeout_s)
+        except (ConnectionError, asyncio.TimeoutError):
+            if not probe:
+                endpoint.alive = False
+                self.stats["upstream_errors"] += 1
             return None
-        method, path, _version = line.decode("latin-1").split()
-        headers: Dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, sep, value = raw.decode("latin-1").partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > MAX_BODY_BYTES:
-            raise ValueError("oversized body")
-        body = await reader.readexactly(length) if length else b""
-        return method.upper(), path, headers, body
-
-    @staticmethod
-    async def _write_response(writer: asyncio.StreamWriter, status: int,
-                              payload: Union[bytes, str, Dict[str, Any]],
-                              ctype: str, *, close: bool) -> None:
-        headers = pop_headers(payload)
-        if isinstance(payload, dict):
-            body = json.dumps(payload, sort_keys=True,
-                              separators=(",", ":")).encode()
-        elif isinstance(payload, str):
-            body = payload.encode("utf-8")
-        else:
-            body = payload
-        extra = "".join(f"{name}: {value}\r\n"
-                        for name, value in headers.items())
-        head = (
-            f"HTTP/1.1 {status} {HTTP_REASONS.get(status, 'Unknown')}\r\n"
-            f"Content-Type: {ctype}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"{extra}"
-            f"Connection: {'close' if close else 'keep-alive'}\r\n"
-            f"\r\n"
-        ).encode("latin-1")
-        writer.write(head + body)
-        await writer.drain()
 
     # ----------------------------------------------------------------- #
     # routing
     # ----------------------------------------------------------------- #
-
-    async def _route(self, method: str, path: str, body: bytes,
-                     ) -> Tuple[int, Union[bytes, str, Dict[str, Any]], str]:
-        path, _, query = path.partition("?")
-        if path == "/v1/solve":
-            if method != "POST":
-                return self._error(405, "use POST for /v1/solve",
-                                   allow="POST")
-            return await self._solve(body)
-        if path == "/v1/graphs" or path.startswith("/v1/graphs/"):
-            return await self._graphs(method, path, body)
-        if method not in ("GET", "HEAD"):
-            return self._error(405, f"use GET for {path}",
-                               allow="GET, HEAD")
-        if path == "/v1/health":
-            return await self._health()
-        if path == "/v1/ready":
-            return await self._ready()
-        if path == "/v1/metrics":
-            fmt = (parse_qs(query).get("format") or ["json"])[-1]
-            if fmt not in ("json", "prometheus"):
-                return self._error(400, f"unknown metrics format {fmt!r}; "
-                                        f"use 'json' or 'prometheus'")
-            return await self._metrics(fmt)
-        if path == "/v1/algorithms":
-            # Identical on every worker; any alive one may answer.
-            return await self._forward_any("GET", "/v1/algorithms")
-        return self._error(404, f"no route {path!r}")
 
     def _shard_key(self, body: bytes) -> str:
         """The string whose sha256 places this request on a shard.
@@ -407,25 +240,22 @@ class FleetRouter:
             self._routing_cache.put(body_hash, key)
         return key
 
-    async def _solve(self, body: bytes,
-                     ) -> Tuple[int, Union[bytes, Dict[str, Any]], str]:
+    async def _solve(self, call: Call) -> Reply:
         if self._draining:
-            return self._error(503, "fleet is draining")
+            return error_doc(503, "fleet is draining")
         loop = asyncio.get_running_loop()
         try:
             # Parsing a previously unseen body materializes the graph —
             # off the event loop, so one giant request cannot stall
             # routing for everyone else.
-            key = await loop.run_in_executor(None, self._shard_key, body)
+            key = await loop.run_in_executor(None, self._shard_key,
+                                             call.body)
         except _OversizedGraph as exc:
-            return self._error(413, str(exc))
-        shard = shard_for_key(key, self.shards)
-        status_payload = await self._forward_sharded(shard, body)
-        return status_payload
+            return error_doc(413, str(exc))
+        return await self._forward_sharded(shard_for_key(key, self.shards),
+                                           call)
 
-    async def _forward_sharded(
-        self, shard: int, body: bytes, path: str = "/v1/solve",
-    ) -> Tuple[int, Union[bytes, Dict[str, Any]], str]:
+    async def _forward_sharded(self, shard: int, call: Call) -> Reply:
         """Send to the owning worker; walk forward on failure.
 
         Every worker is tried at most once.  A worker that fails is
@@ -433,83 +263,87 @@ class FleetRouter:
         going — failover costs placement (coalescing for that key until
         the owner returns), never availability.
         """
-        last_error = ""
         for offset in range(self.shards):
             index = (shard + offset) % self.shards
-            endpoint = self._endpoints[index]
-            if not endpoint.alive:
+            if not self._endpoints[index].alive:
                 continue
-            try:
-                status, payload, ctype = await self._channels[index].request(
-                    "POST", path, body)
-            except _UpstreamError as exc:
-                endpoint.alive = False
-                self.stats["upstream_errors"] += 1
-                last_error = str(exc)
+            reply = await self._request(index, "POST", call.path, call.body)
+            if reply is None:
                 continue
             self.stats["routed"] += 1
             if offset:
                 self.stats["failovers"] += 1
-            return status, payload, ctype
-        return self._error(503, f"no worker available ({last_error})")
+            return (*reply, JSON_CONTENT_TYPE)
+        return error_doc(503, "no worker available")
 
-    async def _forward_any(
-        self, method: str, path: str, body: bytes = b"",
-    ) -> Tuple[int, Union[bytes, Dict[str, Any]], str]:
+    async def _forward_any(self, method: str, call: Call) -> Reply:
         for index, endpoint in enumerate(self._endpoints):
-            if not endpoint.alive:
-                continue
+            if endpoint.alive:
+                reply = await self._request(index, method, call.path,
+                                            call.body)
+                if reply is not None:
+                    return (*reply, JSON_CONTENT_TYPE)
+        return error_doc(503, "no worker available")
+
+    async def _fan_out(self, method: str, path: str, *, probe: bool = False,
+                       ) -> List[Optional[Dict[str, Any]]]:
+        """One request to every worker at once, in shard order: each
+        answer as its JSON doc plus ``_status``, ``None`` where there is
+        none.  A ``probe`` also asks workers marked dead."""
+        async def one(index: int) -> Optional[Dict[str, Any]]:
+            if not (probe or self._endpoints[index].alive):
+                return None
+            reply = await self._request(index, method, path,
+                                        timeout_s=HEALTH_TIMEOUT_S,
+                                        probe=probe)
+            if reply is None:
+                return None
             try:
-                return await self._channels[index].request(method, path, body)
-            except _UpstreamError:
-                endpoint.alive = False
-                self.stats["upstream_errors"] += 1
-        return self._error(503, "no worker available")
+                doc = json.loads(reply[1])
+            except ValueError:
+                return None
+            doc["_status"] = reply[0]
+            return doc
+
+        return list(await asyncio.gather(
+            *(one(i) for i in range(self.shards))))
+
+    async def _algorithms(self, call: Call) -> Reply:
+        # Identical on every worker; any alive one may answer.
+        return await self._forward_any("GET", call)
 
     # ----------------------------------------------------------------- #
     # graph plane
     # ----------------------------------------------------------------- #
+    #
+    # Workers share one content-addressed store directory, so a graph
+    # registered through *any* worker is immediately resolvable by all
+    # of them — ``POST /v1/graphs`` and ``GET``/``HEAD`` forward to any
+    # alive worker.  Two exceptions: ``DELETE`` must also drop each
+    # worker's in-process attach memo and shared-memory mapping, so it
+    # broadcasts to every alive worker and merges the answers; and
+    # ``POST .../deltas`` shards by the parent ref, so one mutating
+    # client's delta chain grows on one worker (whose attach memo
+    # already holds the parent) instead of faulting every store onto
+    # every worker.
 
-    async def _graphs(self, method: str, path: str, body: bytes,
-                      ) -> Tuple[int, Union[bytes, Dict[str, Any]], str]:
-        """Proxy the graph registry.
+    async def _register_graph(self, call: Call) -> Reply:
+        if self._draining:
+            return error_doc(503, "fleet is draining")
+        return await self._forward_any("POST", call)
 
-        Workers share one content-addressed store directory, so a graph
-        registered through *any* worker is immediately resolvable by all
-        of them — ``POST`` and ``GET``/``HEAD`` forward to any alive
-        worker.  Two exceptions: ``DELETE`` must also drop each worker's
-        in-process attach memo and shared-memory mapping, so it
-        broadcasts to every alive worker and merges the answers; and
-        ``POST .../deltas`` shards by the parent ref, so one mutating
-        client's delta chain grows on one worker (whose attach memo
-        already holds the parent) instead of faulting every store onto
-        every worker.
-        """
-        if path == "/v1/graphs":
-            if method != "POST":
-                return self._error(405, "use POST for /v1/graphs",
-                                   allow="POST")
-            if self._draining:
-                return self._error(503, "fleet is draining")
-            return await self._forward_any("POST", "/v1/graphs", body)
-        if path.endswith("/deltas"):
-            if method != "POST":
-                return self._error(405, f"use POST for {path}",
-                                   allow="POST")
-            if self._draining:
-                return self._error(503, "fleet is draining")
-            parent = path[len("/v1/graphs/"):-len("/deltas")]
-            return await self._forward_sharded(
-                shard_for_key(parent, self.shards), body, path)
-        if method in ("GET", "HEAD"):
-            return await self._forward_any(method, path)
-        if method == "DELETE":
-            return await self._evict_graph(path)
-        return self._error(405, f"unsupported method {method} for {path}",
-                           allow="GET, HEAD, DELETE")
+    async def _describe_graph(self, call: Call, _ref: str) -> Reply:
+        # A HEAD arrives here too and is forwarded as GET: the worker's
+        # reply carries the body whose length the HEAD reply advertises.
+        return await self._forward_any("GET", call)
 
-    async def _evict_graph(self, path: str,
-                           ) -> Tuple[int, Dict[str, Any], str]:
+    async def _register_delta(self, call: Call, parent: str) -> Reply:
+        if self._draining:
+            return error_doc(503, "fleet is draining")
+        return await self._forward_sharded(
+            shard_for_key(parent, self.shards), call)
+
+    async def _evict_graph(self, call: Call, ref: str) -> Reply:
         """Broadcast a graph eviction to every alive worker.
 
         The first worker to delete the backing file answers
@@ -518,69 +352,31 @@ class FleetRouter:
         whether *any* worker actually evicted, which is the fleet-level
         truth the client cares about.
         """
-        async def one(index: int) -> Optional[Dict[str, Any]]:
-            endpoint = self._endpoints[index]
-            if not endpoint.alive:
-                return None
-            try:
-                status, payload, _ = await self._channels[index].request(
-                    "DELETE", path, timeout_s=HEALTH_TIMEOUT_S)
-            except _UpstreamError:
-                endpoint.alive = False
-                self.stats["upstream_errors"] += 1
-                return None
-            try:
-                doc = json.loads(payload) if payload else {}
-            except ValueError:
-                doc = {}
-            doc["_status"] = status
-            return doc
-
-        polled = [doc for doc in await asyncio.gather(
-            *(one(i) for i in range(self.shards))) if doc is not None]
+        polled = [doc for doc in await self._fan_out("DELETE", call.path)
+                  if doc is not None]
         if not polled:
-            return self._error(503, "no worker available")
+            return error_doc(503, "no worker available")
         bad = next((doc for doc in polled
                     if doc.get("_status") not in (200, 404)), None)
         if bad is not None:
             status = int(bad.get("_status", 500))
             return status, {k: v for k, v in bad.items()
-                            if not k.startswith("_")}, JSON_CONTENT_TYPE
+                            if not k.startswith("_")}
         evicted = any(doc.get("evicted") for doc in polled)
-        ref = next((doc.get("graph_ref") for doc in polled
-                    if doc.get("graph_ref")), path.rsplit("/", 1)[-1])
         return 200, {
             "schema": SCHEMA_VERSION,
-            "graph_ref": ref,
+            "graph_ref": next((doc.get("graph_ref") for doc in polled
+                               if doc.get("graph_ref")), ref),
             "evicted": evicted,
             "workers_polled": len(polled),
-        }, JSON_CONTENT_TYPE
+        }
 
     # ----------------------------------------------------------------- #
     # fleet health + metrics
     # ----------------------------------------------------------------- #
 
-    async def _poll_workers(
-        self, path: str,
-    ) -> List[Optional[Dict[str, Any]]]:
-        async def one(index: int) -> Optional[Dict[str, Any]]:
-            try:
-                status, payload, _ = await self._channels[index].request(
-                    "GET", path, timeout_s=HEALTH_TIMEOUT_S)
-            except _UpstreamError:
-                return None
-            try:
-                doc = json.loads(payload)
-            except ValueError:
-                return None
-            doc["_status"] = status
-            return doc
-
-        return list(await asyncio.gather(
-            *(one(i) for i in range(self.shards))))
-
-    async def _health(self) -> Tuple[int, Dict[str, Any], str]:
-        polled = await self._poll_workers("/v1/health")
+    async def _health(self, _call: Call) -> Reply:
+        polled = await self._fan_out("GET", "/v1/health", probe=True)
         workers = {}
         for endpoint, doc in zip(self._endpoints, polled):
             workers[endpoint.worker_id] = {
@@ -601,10 +397,10 @@ class FleetRouter:
             "shards": self.shards,
             "workers_alive": alive,
             "workers": workers,
-        }, JSON_CONTENT_TYPE
+        }
 
-    async def _ready(self) -> Tuple[int, Dict[str, Any], str]:
-        polled = await self._poll_workers("/v1/ready")
+    async def _ready(self, _call: Call) -> Reply:
+        polled = await self._fan_out("GET", "/v1/ready", probe=True)
         ready = sum(1 for doc in polled
                     if doc is not None and doc.get("_status") == 200)
         ok = not self._draining and ready == self.shards
@@ -614,12 +410,14 @@ class FleetRouter:
                        else "draining" if self._draining else "warming"),
             "shards": self.shards,
             "workers_ready": ready,
-        }, JSON_CONTENT_TYPE
+        }
 
-    async def _metrics(
-        self, fmt: str,
-    ) -> Tuple[int, Union[str, Dict[str, Any]], str]:
-        polled = await self._poll_workers("/v1/metrics")
+    async def _metrics(self, call: Call) -> Reply:
+        fmt = (parse_qs(call.query).get("format") or ["json"])[-1]
+        if fmt not in ("json", "prometheus"):
+            return error_doc(400, f"unknown metrics format {fmt!r}; "
+                                  f"use 'json' or 'prometheus'")
+        polled = await self._fan_out("GET", "/v1/metrics", probe=True)
         snapshots = [
             {k: v for k, v in doc.items() if k != "_status"}
             for doc in polled if doc is not None
@@ -628,46 +426,11 @@ class FleetRouter:
         if fmt == "prometheus":
             return (200, render_fleet_prometheus(snapshots, router=router),
                     PROMETHEUS_CONTENT_TYPE)
-        return (200, aggregate_snapshots(snapshots, router=router),
-                JSON_CONTENT_TYPE)
-
-    @staticmethod
-    def _error(status: int, message: str, *, detail: str = "",
-               allow: Optional[str] = None,
-               ) -> Tuple[int, Dict[str, Any], str]:
-        status, doc = error_doc(status, message, detail=detail, allow=allow)
-        return status, doc, JSON_CONTENT_TYPE
+        return 200, aggregate_snapshots(snapshots, router=router)
 
 
 class _OversizedGraph(Exception):
     """Raised inside shard-key computation for a 413 at the router."""
-
-
-async def _run_fleet_async(router: FleetRouter, *, banner: bool) -> None:
-    port = await router.start()
-    if banner:
-        print(f"repro-fleet listening on http://{router.host}:{port} "
-              f"({router.shards} workers, schema {SCHEMA_VERSION})",
-              flush=True)
-    loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
-    installed = []
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, stop.set)
-            installed.append(sig)
-        except (NotImplementedError, RuntimeError):
-            pass
-    try:
-        await stop.wait()
-        if banner:
-            print("repro-fleet draining workers...", flush=True)
-        await router.shutdown()
-        if banner:
-            print("repro-fleet drained; bye", flush=True)
-    finally:
-        for sig in installed:
-            loop.remove_signal_handler(sig)
 
 
 def run_fleet(
@@ -700,7 +463,10 @@ def run_fleet(
     supervisor.start()
     router = FleetRouter(supervisor, host=host, port=port)
     try:
-        asyncio.run(_run_fleet_async(router, banner=banner))
+        asyncio.run(router.run_until_signal(
+            name="repro-fleet",
+            detail=f"{router.shards} workers, schema {SCHEMA_VERSION}",
+            draining="draining workers", banner=banner))
     finally:
         supervisor.stop()
     return 0

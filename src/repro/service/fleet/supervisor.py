@@ -27,17 +27,17 @@ Both expose the small interface the router consumes: ``endpoints()``
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import re
 import signal
-import socket
 import subprocess
 import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
+
+from repro.service.http import fetch
 
 __all__ = ["FleetSupervisor", "ThreadedFleet", "WorkerEndpoint"]
 
@@ -56,40 +56,17 @@ class WorkerEndpoint:
     meta: Dict[str, Any] = field(default_factory=dict)
 
 
-def _http_get(host: str, port: int, path: str,
-              timeout: float = 5.0) -> "tuple[int, Any]":
-    """One blocking GET used by readiness checks (no asyncio needed)."""
-    with socket.create_connection((host, port), timeout=timeout) as sock:
-        sock.sendall(
-            f"GET {path} HTTP/1.1\r\nHost: {host}\r\n"
-            f"Connection: close\r\n\r\n".encode("latin-1")
-        )
-        raw = b""
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            raw += chunk
-    head, _, payload = raw.partition(b"\r\n\r\n")
-    status = int(head.split(b" ", 2)[1])
-    try:
-        doc = json.loads(payload) if payload else None
-    except ValueError:
-        doc = None
-    return status, doc
-
-
 def wait_ready(host: str, port: int, timeout_s: float = 30.0) -> None:
     """Block until ``GET /v1/ready`` answers 200 (or raise)."""
     deadline = time.monotonic() + timeout_s
     last: Any = None
     while time.monotonic() < deadline:
         try:
-            status, doc = _http_get(host, port, "/v1/ready")
+            status, doc = fetch(host, port, "GET", "/v1/ready", timeout_s=5.0)
             if status == 200:
                 return
             last = (status, doc)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             last = exc
         time.sleep(0.05)
     raise TimeoutError(

@@ -35,6 +35,7 @@ from repro.api import SolveReport, SolveRequest
 from repro.graphs.specs import graph_from_spec, weights_from_spec
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.obs.aggregate import percentile
+from repro.service.http import HttpClient, fetch
 
 __all__ = [
     "DEFAULT_ALGORITHMS",
@@ -91,6 +92,30 @@ class _Tally:
     stage_latencies: Dict[str, List[float]] = field(default_factory=dict)
     with_trace_id: int = 0
 
+    def record(self, entry: PoolEntry, status: int, payload: bytes,
+               seconds: float) -> None:
+        """Account one answered request; a 200's envelope in full."""
+        self.sent += 1
+        self.status_counts[str(status)] = (
+            self.status_counts.get(str(status), 0) + 1)
+        if status != 200:
+            return
+        self.completed += 1
+        self.latencies.append(seconds)
+        envelope = json.loads(payload)
+        served = envelope.get("served", {})
+        self.cached += bool(served.get("cached"))
+        self.coalesced += bool(served.get("coalesced"))
+        self.with_trace_id += bool(served.get("trace_id"))
+        for stage, stage_s in (served.get("stages") or {}).items():
+            self.stage_latencies.setdefault(stage, []).append(stage_s)
+        report_doc = envelope.get("report", {})
+        self.ok += bool(report_doc.get("ok"))
+        key = entry.request.key()
+        self.reports.setdefault(key, report_doc)
+        self.report_bytes.setdefault(key, set()).add(
+            json.dumps(report_doc, sort_keys=True, separators=(",", ":")))
+
 
 def build_request_pool(
     *,
@@ -123,79 +148,13 @@ def build_request_pool(
     return pool
 
 
-# --------------------------------------------------------------------- #
-# minimal HTTP/1.1 client
-# --------------------------------------------------------------------- #
-
-class _Client:
-    """One keep-alive connection; reconnects transparently on failure."""
-
-    def __init__(self, host: str, port: int) -> None:
-        self.host = host
-        self.port = port
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-
-    async def _connect(self) -> None:
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
-        )
-
-    async def close(self) -> None:
-        if self._writer is not None:
-            try:
-                self._writer.close()
-                await self._writer.wait_closed()
-            except Exception:
-                pass
-        self._reader = self._writer = None
-
-    async def request(self, method: str, path: str,
-                      body: bytes = b"") -> Tuple[int, bytes]:
-        """Send one request; returns (status, raw response body)."""
-        for attempt in (1, 2):
-            if self._writer is None:
-                await self._connect()
-            assert self._reader is not None and self._writer is not None
-            head = (
-                f"{method} {path} HTTP/1.1\r\n"
-                f"Host: {self.host}:{self.port}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"\r\n"
-            ).encode("latin-1")
-            try:
-                self._writer.write(head + body)
-                await self._writer.drain()
-                return await self._read_response()
-            except (ConnectionError, asyncio.IncompleteReadError, OSError):
-                await self.close()
-                if attempt == 2:
-                    raise
-        raise RuntimeError("unreachable")
-
-    async def _read_response(self) -> Tuple[int, bytes]:
-        assert self._reader is not None
-        status_line = await self._reader.readline()
-        if not status_line:
-            raise ConnectionError("server closed connection")
-        status = int(status_line.split()[1])
-        length = 0
-        close_after = False
-        while True:
-            raw = await self._reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            lname = name.strip().lower()
-            if lname == "content-length":
-                length = int(value.strip())
-            elif lname == "connection" and value.strip().lower() == "close":
-                close_after = True
-        payload = await self._reader.readexactly(length) if length else b""
-        if close_after:
-            await self.close()
-        return status, payload
+def _written(doc: Dict[str, Any], out_path: Optional[str]) -> Dict[str, Any]:
+    """``doc``, also saved as indented JSON at ``out_path`` if given."""
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    return doc
 
 
 # --------------------------------------------------------------------- #
@@ -215,24 +174,27 @@ def _ref_body(request: SolveRequest, fingerprint: str) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
-async def _register_async(host: str, port: int,
-                          pool: List[PoolEntry]) -> Dict[str, str]:
+async def _register(client: HttpClient, graph: WeightedGraph) -> str:
+    """``POST /v1/graphs`` one graph as a binary blob; returns its ref."""
     from repro.graphs import io as graph_io
 
-    client = _Client(host, port)
+    status, payload = await client.request("POST", "/v1/graphs",
+                                           graph_io.to_bytes(graph))
+    if status != 200:
+        raise ConnectionError(f"graph registration failed: HTTP {status}: "
+                              f"{payload[:200]!r}")
+    return json.loads(payload)["graph_ref"]
+
+
+async def _register_async(host: str, port: int,
+                          pool: List[PoolEntry]) -> Dict[str, str]:
+    client = HttpClient(host, port)
     refs: Dict[str, str] = {}
     try:
         for entry in pool:
             fp = entry.graph.fingerprint()
-            if fp in refs:
-                continue
-            status, payload = await client.request(
-                "POST", "/v1/graphs", graph_io.to_bytes(entry.graph))
-            if status != 200:
-                raise ConnectionError(
-                    f"graph registration failed: HTTP {status}: "
-                    f"{payload[:200]!r}")
-            refs[fp] = json.loads(payload)["graph_ref"]
+            if fp not in refs:
+                refs[fp] = await _register(client, entry.graph)
     finally:
         await client.close()
     return refs
@@ -356,20 +318,12 @@ async def _churn_async(host: str, port: int, graph: WeightedGraph,
                        schedule: List[List[List[Any]]], *,
                        algorithm: str, solve_seed: int,
                        params: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.graphs import io as graph_io
-
-    client = _Client(host, port)
+    client = HttpClient(host, port)
     counts = {"epochs": 0, "incremental": 0, "full": 0, "failed": 0}
     frontiers: List[int] = []
     latencies: List[float] = []
     try:
-        status, payload = await client.request(
-            "POST", "/v1/graphs", graph_io.to_bytes(graph))
-        if status != 200:
-            raise ConnectionError(
-                f"graph registration failed: HTTP {status}: "
-                f"{payload[:200]!r}")
-        parent = json.loads(payload)["graph_ref"]
+        parent = await _register(client, graph)
         for ops in schedule:
             solve_doc = {
                 "schema": "v2",
@@ -480,11 +434,7 @@ def run_churn(
         },
         "final_ref": result["final_ref"],
     }
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return doc
+    return _written(doc, out_path)
 
 
 # --------------------------------------------------------------------- #
@@ -494,7 +444,7 @@ def run_churn(
 async def _client_loop(client_id: int, host: str, port: int,
                        pool: List[PoolEntry], deadline: float,
                        tally: _Tally, gate: asyncio.Event) -> None:
-    client = _Client(host, port)
+    client = HttpClient(host, port)
     # Clients start at staggered offsets but walk the same cyclic order,
     # so distinct clients regularly collide on the same key while it is
     # in flight — that collision is what the coalescer serves.  The
@@ -515,36 +465,10 @@ async def _client_loop(client_id: int, host: str, port: int,
                 status, payload = await client.request(
                     "POST", "/v1/solve", entry.body
                 )
-            except (ConnectionError, OSError, asyncio.IncompleteReadError):
+            except (ConnectionError, asyncio.TimeoutError):
                 tally.transport_errors += 1
                 continue
-            seconds = time.monotonic() - t0
-            tally.sent += 1
-            tally.status_counts[str(status)] = (
-                tally.status_counts.get(str(status), 0) + 1
-            )
-            if status != 200:
-                continue
-            tally.completed += 1
-            tally.latencies.append(seconds)
-            envelope = json.loads(payload)
-            served = envelope.get("served", {})
-            if served.get("cached"):
-                tally.cached += 1
-            if served.get("coalesced"):
-                tally.coalesced += 1
-            if served.get("trace_id"):
-                tally.with_trace_id += 1
-            for stage, seconds in (served.get("stages") or {}).items():
-                tally.stage_latencies.setdefault(stage, []).append(seconds)
-            report_doc = envelope.get("report", {})
-            if report_doc.get("ok"):
-                tally.ok += 1
-            key = entry.request.key()
-            tally.reports.setdefault(key, report_doc)
-            tally.report_bytes.setdefault(key, set()).add(
-                json.dumps(report_doc, sort_keys=True, separators=(",", ":"))
-            )
+            tally.record(entry, status, payload, time.monotonic() - t0)
     finally:
         await client.close()
 
@@ -598,15 +522,12 @@ async def _run_async(host: str, port: int, *, clients: int,
     return tally
 
 
-async def _fetch_metrics(host: str, port: int) -> Optional[Dict[str, Any]]:
-    client = _Client(host, port)
+def _fetch_metrics(host: str, port: int) -> Optional[Dict[str, Any]]:
     try:
-        status, payload = await client.request("GET", "/v1/metrics")
-        return json.loads(payload) if status == 200 else None
-    except (ConnectionError, OSError, asyncio.IncompleteReadError):
+        status, doc = fetch(host, port, "GET", "/v1/metrics")
+    except (OSError, ValueError):
         return None
-    finally:
-        await client.close()
+    return doc if status == 200 else None
 
 
 # --------------------------------------------------------------------- #
@@ -685,57 +606,25 @@ class _OpenTally(_Tally):
     gave_up: int = 0           # still unfinished at the wall-clock cap
 
 
-async def _fire_one(pool_conns: List[_Client], host: str, port: int,
-                    entry: PoolEntry, scheduled: float,
+async def _fire_one(client: HttpClient, entry: PoolEntry, scheduled: float,
                     tally: _OpenTally, timeout_s: float) -> None:
     """One open-loop request: latency counts from the *scheduled*
     arrival, so client-side send delay (coordinated omission) is part of
     the measurement, not hidden by it."""
-    client = pool_conns.pop() if pool_conns else _Client(host, port)
     started = time.monotonic()
     tally.late_starts.append(max(0.0, started - scheduled))
     try:
-        status, payload = await asyncio.wait_for(
-            client.request("POST", "/v1/solve", entry.body),
-            timeout=timeout_s)
+        status, payload = await client.request(
+            "POST", "/v1/solve", entry.body, timeout_s=timeout_s)
     except asyncio.TimeoutError:
         tally.gave_up += 1
-        await client.close()
         return
-    except (ConnectionError, OSError, asyncio.IncompleteReadError):
+    except ConnectionError:
         tally.transport_errors += 1
-        await client.close()
         return
-    seconds = time.monotonic() - scheduled
-    tally.sent += 1
-    tally.status_counts[str(status)] = (
-        tally.status_counts.get(str(status), 0) + 1)
-    if len(pool_conns) < 64:
-        pool_conns.append(client)
-    else:
-        await client.close()
+    tally.record(entry, status, payload, time.monotonic() - scheduled)
     if status in (429, 503):
         tally.rejected += 1
-        return
-    if status != 200:
-        return
-    tally.completed += 1
-    tally.latencies.append(seconds)
-    envelope = json.loads(payload)
-    served = envelope.get("served", {})
-    if served.get("cached"):
-        tally.cached += 1
-    if served.get("coalesced"):
-        tally.coalesced += 1
-    if served.get("trace_id"):
-        tally.with_trace_id += 1
-    report_doc = envelope.get("report", {})
-    if report_doc.get("ok"):
-        tally.ok += 1
-    key = entry.request.key()
-    tally.reports.setdefault(key, report_doc)
-    tally.report_bytes.setdefault(key, set()).add(
-        json.dumps(report_doc, sort_keys=True, separators=(",", ":")))
 
 
 async def _run_open_loop_async(
@@ -743,7 +632,7 @@ async def _run_open_loop_async(
     picks: List[int], *, duration_s: float, timeout_s: float,
 ) -> Tuple[_OpenTally, float]:
     tally = _OpenTally()
-    conns: List[_Client] = []
+    client = HttpClient(host, port)
     tasks: List[asyncio.Task] = []
     t0 = time.monotonic()
     # The hard wall-clock cap: schedule for duration_s, then allow a
@@ -757,7 +646,7 @@ async def _run_open_loop_async(
         if delay > 0:
             await asyncio.sleep(delay)
         tasks.append(asyncio.ensure_future(_fire_one(
-            conns, host, port, pool[pick], t0 + offset, tally, timeout_s)))
+            client, pool[pick], t0 + offset, tally, timeout_s)))
     if tasks:
         done, pending = await asyncio.wait(
             tasks, timeout=max(0.1, cap - time.monotonic()))
@@ -767,8 +656,7 @@ async def _run_open_loop_async(
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
     elapsed = time.monotonic() - t0
-    for client in conns:
-        await client.close()
+    await client.close()
     return tally, elapsed
 
 
@@ -856,11 +744,7 @@ def run_open_loop(
         "divergent_reports": sum(1 for blobs in tally.report_bytes.values()
                                  if len(blobs) > 1),
     }
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return doc
+    return _written(doc, out_path)
 
 
 def run_loadgen(
@@ -907,7 +791,7 @@ def run_loadgen(
                    pool=pool)
     )
     elapsed = time.monotonic() - t0
-    server_metrics = asyncio.run(_fetch_metrics(host, port))
+    server_metrics = _fetch_metrics(host, port)
 
     if verify:
         verified, unique, failures = _verify_reports(pool, tally)
@@ -972,8 +856,4 @@ def run_loadgen(
             throughput_rps=doc["throughput_rps"],
         )
         doc["slo"] = report.to_doc()
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return doc
+    return _written(doc, out_path)

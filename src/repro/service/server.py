@@ -52,20 +52,21 @@ draining → 503 (``unavailable``), deadline exceeded → 504
 (``deadline_exceeded``), oversized body or a graph declaring more than
 ``MAX_GRAPH_NODES`` nodes → 413 (``payload_too_large``).
 
-The HTTP implementation is deliberately minimal (HTTP/1.1 keep-alive,
-Content-Length bodies, JSON only) — enough for the load generator, CI
-smoke, and curl, with zero dependencies beyond the standard library.
+The wire format lives in :mod:`repro.service.http`, shared verbatim
+with the fleet router: this module is a route table plus handlers.
+Malformed framing (bad request line or ``Content-Length``, header
+floods, over-long lines, a body cut short) is a taxonomy 400 — 413 for
+a body over 32 MiB — followed by a close; ``HEAD`` works on every
+``GET`` route and sends headers only.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import hashlib
 import json
-import signal
 from time import perf_counter
-from typing import Any, Dict, Optional, Set, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs
 
 from repro._version import __version__
@@ -80,20 +81,18 @@ from repro.exceptions import GraphFormatError
 from repro.graphs.delta import DeltaConflictError, GraphDelta
 from repro.graphs.specs import declared_nodes
 from repro.graphs.store import GraphRef, UnknownGraphRef
+from repro.service.cache import LruCache
 from repro.service.engine import (
     DeadlineExceeded,
     RequestRejected,
     SolverEngine,
     UnknownAlgorithmError,
 )
-from repro.service.errors import HTTP_REASONS, error_doc, pop_headers
-from repro.service.fleet.cache import LruCache
+from repro.service.errors import error_doc
+from repro.service.http import Call, HttpServer, RouteTable
 
 __all__ = ["SolverServer", "serve"]
 
-MAX_BODY_BYTES = 32 * 1024 * 1024
-MAX_HEADER_LINES = 100
-JSON_CONTENT_TYPE = "application/json"
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 # Largest graph a request may declare (inline node list or generator
 # spec) before it is rejected with 413 — checked *before* the graph is
@@ -101,22 +100,30 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 MAX_GRAPH_NODES = 1_000_000
 
 
-class _HttpError(Exception):
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(message)
-        self.status = status
+def v1_routes(door: Any) -> RouteTable:
+    """The ``/v1`` route table over ``door``'s handlers.  The worker
+    server and the fleet router both serve it, so their 404s, 405s and
+    ``Allow`` headers agree by construction."""
+    return RouteTable({
+        "/v1/solve": {"POST": door._solve},
+        "/v1/graphs": {"POST": door._register_graph},
+        "/v1/graphs/{}": {"GET": door._describe_graph,
+                          "DELETE": door._evict_graph},
+        "/v1/graphs/{}/deltas": {"POST": door._register_delta},
+        "/v1/health": {"GET": door._health},
+        "/v1/ready": {"GET": door._ready},
+        "/v1/metrics": {"GET": door._metrics},
+        "/v1/algorithms": {"GET": door._algorithms},
+    })
 
 
-class SolverServer:
+class SolverServer(HttpServer):
     """One listening socket in front of one :class:`SolverEngine`."""
 
     def __init__(self, engine: SolverEngine, *, host: str = "127.0.0.1",
                  port: int = 0, parse_cache: int = 512) -> None:
+        super().__init__(host, port)
         self.engine = engine
-        self.host = host
-        self.port = port          # 0 = ephemeral; .port is updated on start
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._conn_tasks: Set[asyncio.Task] = set()
         # Body-bytes → parsed SolveRequest memo: repeated identical
         # bodies (the cache-heavy serving regime) skip JSON decoding and
         # graph materialization entirely.  Parsing is deterministic and
@@ -124,217 +131,71 @@ class SolverServer:
         self._parse_cache: Optional[LruCache] = (
             LruCache(parse_cache) if parse_cache > 0 else None
         )
+        self.routes = v1_routes(self)
 
     async def start(self) -> int:
         """Bind and listen; returns the actual port (resolves port 0)."""
         await self.engine.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self.port
+        return await super().start()
 
     async def shutdown(self) -> None:
         """Graceful drain: stop admitting, finish in-flight, close."""
         self.engine.begin_drain()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        self._stop_listening()
         await self.engine.drain()
         # In-flight responses are written by connection tasks; give them
         # a beat to flush, then drop idle keep-alive connections.
-        if self._conn_tasks:
-            await asyncio.wait(list(self._conn_tasks), timeout=2.0)
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        await self._close_connections()
         await self.engine.aclose()
 
     # ----------------------------------------------------------------- #
-    # connection handling
+    # service endpoints
     # ----------------------------------------------------------------- #
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        try:
-            while True:
-                try:
-                    parsed = await self._read_request(reader)
-                except _HttpError as exc:
-                    _status, doc = error_doc(exc.status, str(exc))
-                    await self._write_json(writer, exc.status, doc,
-                                           close=True)
-                    return
-                if parsed is None:  # clean EOF between requests
-                    return
-                method, path, headers, body = parsed
-                keep_alive = headers.get("connection", "").lower() != "close"
-                status, payload, ctype = await self._route(method, path, body)
-                await self._write_response(writer, status, payload, ctype,
-                                           close=not keep_alive,
-                                           head_only=method == "HEAD")
-                if not keep_alive:
-                    return
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
+    async def _health(self, _call: Call) -> Tuple[int, Dict[str, Any]]:
+        return 200, {
+            "schema": SCHEMA_VERSION,
+            "status": "draining" if self.engine.draining else "ok",
+            "version": __version__,
+            "worker_id": self.engine.worker_id,
+            "backend": self.engine.backend,
+        }
 
-    async def _read_request(
-        self, reader: asyncio.StreamReader,
-    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        line = await reader.readline()
-        if not line:
-            return None
-        try:
-            method, path, _version = line.decode("latin-1").split()
-        except ValueError:
-            raise _HttpError(400, "malformed request line")
-        headers: Dict[str, str] = {}
-        for _ in range(MAX_HEADER_LINES):
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, sep, value = raw.decode("latin-1").partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
+    async def _ready(self, _call: Call) -> Tuple[int, Dict[str, Any]]:
+        if self.engine.ready:
+            status, state = 200, "ready"
         else:
-            raise _HttpError(400, "too many headers")
-        try:
-            length = int(headers.get("content-length", "0") or "0")
-        except ValueError:
-            raise _HttpError(400, "bad Content-Length")
-        if length > MAX_BODY_BYTES:
-            raise _HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
-        body = await reader.readexactly(length) if length else b""
-        return method.upper(), path, headers, body
+            status = 503
+            state = "draining" if self.engine.draining else "warming"
+        return status, {
+            "schema": SCHEMA_VERSION,
+            "status": state,
+            "worker_id": self.engine.worker_id,
+            "backend": self.engine.backend,
+        }
 
-    async def _write_json(self, writer: asyncio.StreamWriter, status: int,
-                          doc: Dict[str, Any], *, close: bool) -> None:
-        await self._write_response(writer, status, doc, JSON_CONTENT_TYPE,
-                                   close=close)
+    async def _metrics(self, call: Call) -> Tuple[Any, ...]:
+        """JSON by default; ``?format=prometheus`` is the only non-JSON
+        payload the server produces."""
+        fmt = (parse_qs(call.query).get("format") or ["json"])[-1]
+        if fmt == "prometheus":
+            return (200, self.engine.render_prometheus(),
+                    PROMETHEUS_CONTENT_TYPE)
+        if fmt != "json":
+            return error_doc(400, f"unknown metrics format {fmt!r}; "
+                                  f"use 'json' or 'prometheus'")
+        return 200, self.engine.metrics_snapshot()
 
-    async def _write_response(self, writer: asyncio.StreamWriter,
-                              status: int, payload: Union[Dict[str, Any], str],
-                              content_type: str, *, close: bool,
-                              head_only: bool = False) -> None:
-        extra_headers = pop_headers(payload)
-        if isinstance(payload, str):
-            body = payload.encode("utf-8")
-        else:
-            body = json.dumps(payload, sort_keys=True,
-                              separators=(",", ":")).encode()
-        extra = "".join(f"{name}: {value}\r\n"
-                        for name, value in extra_headers.items())
-        head = (
-            f"HTTP/1.1 {status} {HTTP_REASONS.get(status, 'Unknown')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"{extra}"
-            f"Connection: {'close' if close else 'keep-alive'}\r\n"
-            f"\r\n"
-        ).encode("latin-1")
-        # HEAD advertises the GET representation's length but sends no body.
-        writer.write(head if head_only else head + body)
-        await writer.drain()
-
-    # ----------------------------------------------------------------- #
-    # routing
-    # ----------------------------------------------------------------- #
-
-    async def _route(
-        self, method: str, path: str, body: bytes,
-    ) -> Tuple[int, Union[Dict[str, Any], str], str]:
-        """Dispatch one request; returns (status, payload, content type).
-
-        The only non-JSON payload is the Prometheus exposition of
-        ``/v1/metrics?format=prometheus``.
-        """
-        path, _, query = path.partition("?")
-        if path == "/v1/metrics" and method in ("GET", "HEAD"):
-            fmt = (parse_qs(query).get("format") or ["json"])[-1]
-            if fmt == "prometheus":
-                return (200, self.engine.render_prometheus(),
-                        PROMETHEUS_CONTENT_TYPE)
-            if fmt != "json":
-                status, doc = self._error(
-                    400, f"unknown metrics format {fmt!r}; "
-                         f"use 'json' or 'prometheus'")
-                return status, doc, JSON_CONTENT_TYPE
-        status, doc = await self._route_json(method, path, body)
-        return status, doc, JSON_CONTENT_TYPE
-
-    async def _route_json(self, method: str, path: str,
-                          body: bytes) -> Tuple[int, Dict[str, Any]]:
-        if path == "/v1/solve":
-            if method != "POST":
-                return self._error(405, "use POST for /v1/solve",
-                                   allow="POST")
-            return await self._solve(body)
-        if path == "/v1/graphs":
-            if method != "POST":
-                return self._error(405, "use POST for /v1/graphs",
-                                   allow="POST")
-            return self._register_graph(body)
-        if path.startswith("/v1/graphs/"):
-            ref = path[len("/v1/graphs/"):]
-            if ref.endswith("/deltas"):
-                ref = ref[:-len("/deltas")]
-                if method != "POST":
-                    return self._error(
-                        405, "use POST for /v1/graphs/<ref>/deltas",
-                        allow="POST")
-                return self._register_delta(ref, body)
-            if method in ("GET", "HEAD"):
-                return self._describe_graph(ref)
-            if method == "DELETE":
-                return self._evict_graph(ref)
-            return self._error(405, "use GET or DELETE for /v1/graphs/<ref>",
-                               allow="GET, HEAD, DELETE")
-        if method not in ("GET", "HEAD"):
-            return self._error(405, f"use GET for {path}",
-                               allow="GET, HEAD")
-        if path == "/v1/health":
-            return 200, {
-                "schema": SCHEMA_VERSION,
-                "status": "draining" if self.engine.draining else "ok",
-                "version": __version__,
-                "worker_id": self.engine.worker_id,
-                "backend": self.engine.backend,
-            }
-        if path == "/v1/ready":
-            if self.engine.ready:
-                status, state = 200, "ready"
-            else:
-                status = 503
-                state = "draining" if self.engine.draining else "warming"
-            return status, {
-                "schema": SCHEMA_VERSION,
-                "status": state,
-                "worker_id": self.engine.worker_id,
-                "backend": self.engine.backend,
-            }
-        if path == "/v1/metrics":
-            return 200, self.engine.metrics_snapshot()
-        if path == "/v1/algorithms":
-            return 200, {
-                "schema": SCHEMA_VERSION,
-                "algorithms": describe_algorithms(),
-            }
-        return self._error(404, f"no route {path!r}")
+    async def _algorithms(self, _call: Call) -> Tuple[int, Dict[str, Any]]:
+        return 200, {"schema": SCHEMA_VERSION,
+                     "algorithms": describe_algorithms()}
 
     # ----------------------------------------------------------------- #
     # the graph plane: register once, solve by reference
     # ----------------------------------------------------------------- #
 
-    def _register_graph(self, body: bytes) -> Tuple[int, Dict[str, Any]]:
+    async def _register_graph(self,
+                              call: Call) -> Tuple[int, Dict[str, Any]]:
         """``POST /v1/graphs`` — ingest a graph into the engine's
         content-addressed store and return its ``graph_ref``.
 
@@ -348,6 +209,7 @@ class SolverServer:
         """
         from repro import blob
 
+        body = call.body
         store = self.engine.graph_store
         if body[:8] == blob.MAGIC:
             # Size admission without materializing: the blob header
@@ -357,33 +219,33 @@ class SolverServer:
 
                 declared = int(_blob_meta(body).get("n", 0))
             except (GraphFormatError, TypeError, ValueError) as exc:
-                return self._error(400, f"bad graph blob: {exc}")
+                return error_doc(400, f"bad graph blob: {exc}")
             if declared > MAX_GRAPH_NODES:
-                return self._error(
+                return error_doc(
                     413, f"graph declares {declared} nodes; this server "
                          f"accepts at most {MAX_GRAPH_NODES}")
             try:
                 ref = store.put_bytes(body)
             except GraphFormatError as exc:
-                return self._error(400, str(exc))
+                return error_doc(400, str(exc))
         else:
             try:
                 doc = json.loads(body.decode("utf-8"))
             except (ValueError, UnicodeDecodeError) as exc:
-                return self._error(
+                return error_doc(
                     400, f"graph body is neither a repro blob nor valid "
                          f"JSON: {exc}")
             oversized = self._graph_too_large({"graph": doc})
             if oversized is not None:
-                return self._error(413, oversized)
+                return error_doc(413, oversized)
             from repro.api import graph_from_doc
 
             try:
                 graph = graph_from_doc(doc)
             except SchemaError as exc:
-                return self._error(400, str(exc))
+                return error_doc(400, str(exc))
             if graph.n > MAX_GRAPH_NODES:
-                return self._error(
+                return error_doc(
                     413, f"graph has {graph.n} nodes; this server accepts "
                          f"at most {MAX_GRAPH_NODES}")
             ref = store.put(graph)
@@ -394,8 +256,8 @@ class SolverServer:
             "m": ref.m,
         }
 
-    def _register_delta(self, ref: str,
-                        body: bytes) -> Tuple[int, Dict[str, Any]]:
+    async def _register_delta(self, call: Call,
+                              ref: str) -> Tuple[int, Dict[str, Any]]:
         """``POST /v1/graphs/<ref>/deltas`` — apply an edit script to a
         stored graph and register the child under its own fingerprint.
 
@@ -408,28 +270,28 @@ class SolverServer:
         """
         try:
             if not self.engine.ref_alive(ref):
-                return self._error(404, f"unknown graph_ref {ref!r}",
-                                   detail=ref)
+                return error_doc(404, f"unknown graph_ref {ref!r}",
+                                 detail=ref)
         except GraphFormatError as exc:
-            return self._error(400, str(exc))
+            return error_doc(400, str(exc))
         try:
-            doc = json.loads(body.decode("utf-8"))
+            doc = json.loads(call.body.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
-            return self._error(400, f"delta body is not valid JSON: {exc}")
+            return error_doc(400, f"delta body is not valid JSON: {exc}")
         try:
             delta = GraphDelta.from_doc(doc)
         except DeltaConflictError as exc:
             # Op-shape problems are a bad request; only edits that
             # contradict the parent's actual state are conflicts.
-            return self._error(400, str(exc))
+            return error_doc(400, str(exc))
         try:
             child = self.engine.graph_store.put_delta(ref, delta)
         except UnknownGraphRef as exc:
-            return self._error(404, str(exc), detail=ref)
+            return error_doc(404, str(exc), detail=ref)
         except DeltaConflictError as exc:
-            return self._error(409, str(exc), detail=delta.fingerprint())
+            return error_doc(409, str(exc), detail=delta.fingerprint())
         except GraphFormatError as exc:
-            return self._error(400, str(exc))
+            return error_doc(400, str(exc))
         return 200, {
             "schema": SCHEMA_VERSION,
             "graph_ref": child.ref,
@@ -441,25 +303,27 @@ class SolverServer:
             "delta_fingerprint": delta.fingerprint(),
         }
 
-    def _describe_graph(self, ref: str) -> Tuple[int, Dict[str, Any]]:
+    async def _describe_graph(self, _call: Call,
+                              ref: str) -> Tuple[int, Dict[str, Any]]:
         try:
             if not self.engine.ref_alive(ref):
-                return self._error(404, f"unknown graph_ref {ref!r}",
-                                   detail=ref)
+                return error_doc(404, f"unknown graph_ref {ref!r}",
+                                 detail=ref)
             info = self.engine.graph_store.describe(ref)
         except UnknownGraphRef as exc:
-            return self._error(404, str(exc), detail=ref)
+            return error_doc(404, str(exc), detail=ref)
         except GraphFormatError as exc:
-            return self._error(400, str(exc))
+            return error_doc(400, str(exc))
         return 200, {"schema": SCHEMA_VERSION, "graph_ref": ref,
                      "n": info["n"], "m": info["m"],
                      "nbytes": info["nbytes"]}
 
-    def _evict_graph(self, ref: str) -> Tuple[int, Dict[str, Any]]:
+    async def _evict_graph(self, _call: Call,
+                           ref: str) -> Tuple[int, Dict[str, Any]]:
         try:
             result = self.engine.evict_graph(ref)
         except GraphFormatError as exc:
-            return self._error(400, str(exc))
+            return error_doc(400, str(exc))
         doc = {"schema": SCHEMA_VERSION, "graph_ref": ref,
                "evicted": result["evicted"]}
         if result.get("deferred"):
@@ -469,7 +333,8 @@ class SolverServer:
             doc["deferred"] = True
         return 200, doc
 
-    async def _solve(self, body: bytes) -> Tuple[int, Dict[str, Any]]:
+    async def _solve(self, call: Call) -> Tuple[int, Dict[str, Any]]:
+        body = call.body
         request: Optional[SolveRequest] = None
         body_key = ""
         if self._parse_cache is not None:
@@ -479,7 +344,7 @@ class SolverServer:
             try:
                 doc = json.loads(body.decode("utf-8"))
             except (ValueError, UnicodeDecodeError) as exc:
-                return self._error(400, f"request is not valid JSON: {exc}")
+                return error_doc(400, f"request is not valid JSON: {exc}")
             # Admission control before the graph materializes: a request
             # may declare its size either inline (nodes list) or via a
             # generator spec; both are checked up front so an oversized
@@ -487,49 +352,49 @@ class SolverServer:
             # engine.
             oversized = self._graph_too_large(doc)
             if oversized is not None:
-                return self._error(413, oversized)
+                return error_doc(413, oversized)
             parent = self._delta_parent(doc)
             if parent is not None and not self._ref_is_alive(parent):
                 # A delta names its parent by ref; a logically evicted
                 # parent must 404 even while a pinned in-flight solve
                 # keeps the bytes mapped.
-                return self._error(404, f"unknown graph_ref {parent!r}",
-                                   detail=parent)
+                return error_doc(404, f"unknown graph_ref {parent!r}",
+                                 detail=parent)
             try:
                 request = SolveRequest.from_doc(
                     doc, store=self.engine.graph_store)
             except UnknownGraphRef as exc:
-                return self._error(404, str(exc))
+                return error_doc(404, str(exc))
             except DeltaConflictError as exc:
                 # The edit script contradicts the parent's actual state
                 # (duplicate node, missing edge, ...): the request is
                 # well-formed but unappliable — a conflict, not a
                 # schema error.
-                return self._error(409, str(exc))
+                return error_doc(409, str(exc))
             except SchemaError as exc:
-                return self._error(400, str(exc))
+                return error_doc(400, str(exc))
             if self._parse_cache is not None:
                 self._parse_cache.put(body_key, request)
         if isinstance(request.graph, GraphRef):
             # Re-check liveness on parse-cache hits: the ref may have
             # been evicted since the request was first parsed.
             if not self.engine.ref_alive(request.graph.ref):
-                return self._error(
+                return error_doc(
                     404, f"unknown graph_ref {request.graph.ref!r}")
             if request.graph.n > MAX_GRAPH_NODES:
-                return self._error(
+                return error_doc(
                     413, f"graph {request.graph.ref[:12]}… has "
                          f"{request.graph.n} nodes; this server accepts "
                          f"at most {MAX_GRAPH_NODES}")
         try:
             served = await self.engine.submit(request)
         except UnknownAlgorithmError as exc:
-            return self._error(400, str(exc))
+            return error_doc(400, str(exc))
         except RequestRejected as exc:
             status = 503 if exc.reason == "draining" else 429
-            return self._error(status, str(exc))
+            return error_doc(status, str(exc))
         except DeadlineExceeded as exc:
-            return self._error(504, str(exc))
+            return error_doc(504, str(exc))
         # Serialization is the last serving stage a request pays; timed
         # here (the engine never sees the wire form) and folded into the
         # same stage histogram as the engine-side stages.
@@ -615,37 +480,6 @@ class SolverServer:
                     f"at most {MAX_GRAPH_NODES}")
         return None
 
-    @staticmethod
-    def _error(status: int, message: str, *, detail: str = "",
-               allow: Optional[str] = None) -> Tuple[int, Dict[str, Any]]:
-        return error_doc(status, message, detail=detail, allow=allow)
-
-
-async def _serve_async(server: SolverServer, *, banner: bool = True) -> None:
-    port = await server.start()
-    if banner:
-        print(f"repro-serve listening on http://{server.host}:{port} "
-              f"(schema {SCHEMA_VERSION})", flush=True)
-    loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
-    installed = []
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, stop.set)
-            installed.append(sig)
-        except (NotImplementedError, RuntimeError):  # non-Unix loops
-            pass
-    try:
-        await stop.wait()
-        if banner:
-            print("repro-serve draining in-flight requests...", flush=True)
-        await server.shutdown()
-        if banner:
-            print("repro-serve drained; bye", flush=True)
-    finally:
-        for sig in installed:
-            loop.remove_signal_handler(sig)
-
 
 def serve(
     *,
@@ -678,5 +512,7 @@ def serve(
                           memory_cache=memory_cache, worker_id=worker_id,
                           backend=backend, graph_store=graph_store)
     server = SolverServer(engine, host=host, port=port)
-    asyncio.run(_serve_async(server, banner=banner))
+    asyncio.run(server.run_until_signal(
+        name="repro-serve", detail=f"schema {SCHEMA_VERSION}",
+        draining="draining in-flight requests", banner=banner))
     return 0

@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.graphs.store import GraphRef
+from repro.graphs.store import GraphRef, atomic_write
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.obs.telemetry import collect_run_telemetry
 from repro.registry import AlgorithmFn
@@ -453,12 +453,10 @@ def _binary_cache_load(cache_dir: str, key: str,
 
 
 def _cache_store(cache_dir: str, key: str, outcome: JobOutcome) -> None:
-    path = _cache_path(cache_dir, key)
-    tmp = f"{path}.tmp.{os.getpid()}"
+    # Atomic: concurrent sweeps and threads never see partial files.
     doc = {"key": key, "outcome": outcome.to_doc()}
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-    os.replace(tmp, path)  # atomic on POSIX: concurrent sweeps never see partial files
+    atomic_write(_cache_path(cache_dir, key),
+                 json.dumps(doc, indent=1).encode("utf-8"))
     if len(outcome.independent_set) >= _binary_min_nodes():
         _binary_cache_store(cache_dir, key, outcome)
 
@@ -470,11 +468,7 @@ def _binary_cache_store(cache_dir: str, key: str, outcome: JobOutcome) -> None:
     chosen = np.asarray(doc.pop("independent_set"), dtype=np.int64)
     data = blob.pack({"kind": "job_outcome", "key": key, "outcome": doc},
                      [("independent_set", chosen)])
-    path = _binary_cache_path(cache_dir, key)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)  # same atomicity contract as the JSON tier
+    atomic_write(_binary_cache_path(cache_dir, key), data)
 
 
 # --------------------------------------------------------------------- #

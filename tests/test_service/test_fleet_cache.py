@@ -16,7 +16,7 @@ import pytest
 from repro.api import SolveRequest, solve
 from repro.graphs import gnp, uniform_weights
 from repro.service import SolverEngine
-from repro.service.fleet import LruCache
+from repro.service.cache import LruCache
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ from repro.service.fleet.aggregate import (
     render_fleet_prometheus,
 )
 from repro.service.fleet.saturation import start_fleet
-from repro.service.loadgen import _Client
+from repro.service.http import HttpClient
 
 
 @pytest.fixture
@@ -34,7 +34,7 @@ def instance():
 
 def http(port, method, path, body=b""):
     async def go():
-        client = _Client("127.0.0.1", port)
+        client = HttpClient("127.0.0.1", port)
         try:
             status, payload = await client.request(method, path, body)
         finally:
@@ -48,7 +48,7 @@ def http_burst(port, bodies):
     """Fire all bodies concurrently over independent connections."""
 
     async def one(body):
-        client = _Client("127.0.0.1", port)
+        client = HttpClient("127.0.0.1", port)
         try:
             status, payload = await client.request("POST", "/v1/solve", body)
         finally:
@@ -200,7 +200,7 @@ class TestByteIdentity:
             engine = SolverEngine(cache_dir=str(tmp_path / "single"))
             server = SolverServer(engine, host="127.0.0.1", port=0)
             port = await server.start()
-            client = _Client("127.0.0.1", port)
+            client = HttpClient("127.0.0.1", port)
             try:
                 _, payload = await client.request("POST", "/v1/solve", body)
                 single["report"] = json.loads(payload)["report"]
@@ -257,7 +257,7 @@ class TestHealthAndReadiness:
             engine = SolverEngine(worker_id="w9", backend="per-node")
             server = SolverServer(engine, host="127.0.0.1", port=0)
             port = await server.start()
-            client = _Client("127.0.0.1", port)
+            client = HttpClient("127.0.0.1", port)
             try:
                 h_before = await client.request("GET", "/v1/health")
                 r_before = await client.request("GET", "/v1/ready")
@@ -403,7 +403,7 @@ class TestFleetMetrics:
             http(fleet.port, "POST", "/v1/solve", body)
 
             async def fetch():
-                client = _Client("127.0.0.1", fleet.port)
+                client = HttpClient("127.0.0.1", fleet.port)
                 try:
                     return await client.request(
                         "GET", "/v1/metrics?format=prometheus")

@@ -11,7 +11,7 @@ import pytest
 from repro.api import SCHEMA_VERSION, SolveRequest, solve
 from repro.graphs import gnp, uniform_weights
 from repro.service import SolverEngine, SolverServer, build_request_pool, run_loadgen
-from repro.service.loadgen import _Client
+from repro.service.http import HttpClient
 
 
 @pytest.fixture
@@ -69,7 +69,7 @@ def http(port, method, path, body=b""):
     """One request against the live server; returns (status, doc)."""
 
     async def go():
-        client = _Client("127.0.0.1", port)
+        client = HttpClient("127.0.0.1", port)
         try:
             status, payload = await client.request(method, path, body)
         finally:
@@ -277,7 +277,7 @@ class TestSolveEndpoint:
         body = request.to_json().encode()
 
         async def go(port):
-            client = _Client("127.0.0.1", port)
+            client = HttpClient("127.0.0.1", port)
             try:
                 statuses = []
                 for _ in range(3):
@@ -286,7 +286,7 @@ class TestSolveEndpoint:
                     )
                     statuses.append(status)
                 # all three went over one connection
-                assert client._writer is not None
+                assert len(client._idle) == 1
                 return statuses
             finally:
                 await client.close()

@@ -2,6 +2,8 @@
 
 import json
 import os
+import sys
+import threading
 
 import pytest
 
@@ -13,7 +15,8 @@ from repro.simulator import (
     derive_job_seeds,
 )
 from repro.registry import algorithm_registry
-from repro.simulator.batch import job_cache_key
+from repro.graphs.store import atomic_write
+from repro.simulator.batch import _cache_load, _cache_store, job_cache_key
 from repro.simulator.models import BandwidthPolicy
 
 
@@ -314,3 +317,56 @@ class TestGraphRefJobs:
             assert ([sorted(o.independent_set) for o in serial.outcomes]
                     == [sorted(o.independent_set)
                         for o in parallel.outcomes])
+
+
+class TestConcurrentWriters:
+    """Threads of one process storing the same key (in-process fleet
+    workers share a cache dir and a graph store dir) must each write
+    through their own temp file."""
+
+    THREADS, TRIALS = 8, 20
+
+    def _hammer(self, write):
+        errors = []
+        barrier = threading.Barrier(self.THREADS)
+
+        def writer():
+            barrier.wait(timeout=30)
+            for _ in range(self.TRIALS):
+                try:
+                    write()
+                except Exception as exc:  # noqa: BLE001 — collected
+                    errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer)
+                       for _ in range(self.THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    def test_cache_store_same_key(self, graph, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_BINARY_MIN", "1")  # both tiers
+        outcome = batch_run([BatchJob(graph, "ranking")],
+                            master_seed=5).outcomes[0]
+        key = "ab" * 32
+        cache = str(tmp_path)
+        self._hammer(lambda: _cache_store(cache, key, outcome))
+        loaded = _cache_load(cache, key, 0)
+        assert loaded is not None
+        assert loaded.signature() == outcome.signature()
+        assert sorted(os.listdir(cache)) == [f"{key}.bin", f"{key}.json"]
+
+    def test_atomic_write_same_path(self, tmp_path):
+        path = tmp_path / "entry.rwg"
+        data = bytes(range(256)) * 64
+        self._hammer(lambda: atomic_write(path, data))
+        assert path.read_bytes() == data
+        assert os.listdir(tmp_path) == ["entry.rwg"]
