@@ -22,7 +22,8 @@ the way CI runs it:
 6. SIGTERM the server, assert a clean drain, and assert its shm arena
    segments are gone from ``/dev/shm``;
 7. crash-reclaim: boot a second server, register a graph, ``SIGKILL``
-   it, and assert the resource tracker unlinks the orphaned segment.
+   it, and assert the resource tracker unlinks the orphaned segment and
+   that its orphaned pool workers exit on ``SIGTERM``.
 
 All scratch state (server cache, graph store, logs, the benchmark
 document) lives in a temporary directory removed in a ``finally``
@@ -37,6 +38,8 @@ Run as ``python benchmarks/graphplane_smoke.py`` (the Makefile sets
 from __future__ import annotations
 
 import argparse
+import contextlib
+import glob
 import json
 import os
 import platform
@@ -76,6 +79,47 @@ def _start_server(scratch: str, tag: str = "serve"):
     log.close()
     with open(log_path, encoding="utf-8") as fh:
         raise AssertionError(f"server did not start:\n{fh.read()}")
+
+
+def _gone(pid: int) -> bool:
+    """Exited: no /proc entry, or a zombie nobody has reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            stat = fh.read()
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+    return stat.rpartition(")")[2].split()[0] in ("Z", "X")
+
+
+def _pool_workers(pid: int) -> list:
+    """Live children of ``pid`` running its own image: its process-pool
+    workers, not the resource tracker it spawned.  The pool forks from
+    the dispatch thread, so every thread's ``children`` file is read.
+    A thread or child that exits during the scan is skipped."""
+    def cmdline(p: int) -> bytes:
+        with open(f"/proc/{p}/cmdline", "rb") as fh:
+            return fh.read()
+
+    try:
+        image = cmdline(pid)
+    except (FileNotFoundError, ProcessLookupError):
+        return []
+    children = set()
+    for path in glob.glob(f"/proc/{pid}/task/*/children"):
+        try:
+            with open(path, encoding="utf-8") as fh:
+                children.update(int(c) for c in fh.read().split())
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+    workers = []
+    for child in sorted(children):
+        try:
+            same = cmdline(child) == image
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        if same and not _gone(child):
+            workers.append(child)
+    return workers
 
 
 def _shm_path(fingerprint: str) -> str:
@@ -292,25 +336,59 @@ def _measure_cell(host: str, port: int, n: int, repeats: int) -> dict:
 def _check_crash_reclaims_arena(scratch: str) -> bool:
     """SIGKILL a server mid-flight; its shm segments must still vanish
     (the stdlib resource tracker outlives the process and unlinks what
-    the dead store owned).  Returns False when /dev/shm is unavailable
-    (mmap-only platforms have nothing to leak)."""
+    the dead store owned), and its orphaned pool workers must exit on
+    SIGTERM.  Returns False when /dev/shm is unavailable (mmap-only
+    platforms have nothing to leak); skips the pool-worker part, with a
+    note, where the kernel has no ``/proc/<pid>/task/*/children``."""
     if not os.path.isdir("/dev/shm"):
         return False
+    track_workers = bool(glob.glob("/proc/self/task/*/children"))
+    if not track_workers:
+        print("crash reclaim: no /proc/<pid>/task/*/children here, pool "
+              "workers not checked", flush=True)
     from repro.graphs import gnp, uniform_weights
     from repro.graphs import io as graph_io
 
     graph = uniform_weights(gnp(24, 0.2, seed=8), 1, 9, seed=9)
     proc, log, log_path, host, port = _start_server(scratch, tag="crash")
+    workers: list = []
     try:
         status, reg = fetch(host, port, "POST", "/v1/graphs",
                             graph_io.to_bytes(graph))
         assert status == 200, (status, reg)
         seg = _shm_path(graph.fingerprint())
         assert os.path.exists(seg), f"no arena segment exported at {seg}"
+        if track_workers:
+            # /v1/ready answers 200 once every pool worker has forked.
+            deadline = time.monotonic() + 60.0
+            while fetch(host, port, "GET", "/v1/ready")[0] != 200:
+                assert time.monotonic() < deadline, "server never ready"
+                time.sleep(0.1)
+            workers = _pool_workers(proc.pid)
+            assert len(workers) == 2, (
+                f"expected 2 pool workers, found {workers}; server log:\n"
+                + open(log_path, encoding="utf-8").read())
     finally:
         proc.kill()
         proc.wait(timeout=10.0)
         log.close()
+    for pid in workers:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGTERM)
+    deadline = time.monotonic() + 5.0
+    while not all(_gone(pid) for pid in workers):
+        if time.monotonic() > deadline:
+            for pid in workers:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            raise AssertionError(
+                f"pool workers {workers} of the SIGKILLed server outlived "
+                f"SIGTERM by 5 s; server log:\n"
+                + open(log_path, encoding="utf-8").read())
+        time.sleep(0.1)
+    if workers:
+        print("crash reclaim: the SIGKILLed server's pool workers exited "
+              "on SIGTERM", flush=True)
     deadline = time.monotonic() + 15.0
     seg = _shm_path(graph.fingerprint())
     while time.monotonic() < deadline:

@@ -58,9 +58,8 @@ from repro.obs.telemetry import (
     TraceContext,
     collect_run_telemetry,
     current_collector,
-    global_registry,
     new_trace_id,
-    reset_global_registry,
+    prometheus_text,
 )
 from repro.simulator.instrument import (
     RoundProfile,
@@ -97,9 +96,8 @@ __all__ = [
     "TraceContext",
     "collect_run_telemetry",
     "current_collector",
-    "global_registry",
     "new_trace_id",
-    "reset_global_registry",
+    "prometheus_text",
     "check_span",
     "span",
     "unattributed_rounds",

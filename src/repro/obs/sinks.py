@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import IO, Any, Dict, Iterable, List, Optional, Union
+from typing import IO, Any, Dict, Iterable, List, Union
 
 from repro.simulator.instrument import RoundProfile
 from repro.simulator.tracing import TraceEvent
@@ -199,19 +199,13 @@ class TelemetrySink:
     ``sim_bits_total`` for bits charged on the wire (sends, drops,
     fault-injected copies — the same charging discipline as
     :class:`RoundSeriesSink`), and cumulative compute/delivery wall-clock
-    when round profiles are delivered.  Defaults to the process-global
-    registry (:func:`repro.obs.telemetry.global_registry`) so a recorded
-    run's traffic shows up in the same exposition as kernel timings and
-    columnar fallbacks.
+    when round profiles are delivered.
     """
 
     # Event kinds whose detail[1] is a bit count charged on the wire.
     _BIT_KINDS = frozenset({"send", "drop", "fault_drop", "fault_dup"})
 
-    def __init__(self, registry: Optional[Any] = None) -> None:
-        if registry is None:
-            from repro.obs.telemetry import global_registry
-            registry = global_registry()
+    def __init__(self, registry: Any) -> None:
         self.registry = registry
         self._events = registry.counter(
             "sim_events_total",

@@ -5,11 +5,12 @@ observability layer already uses:
 
 * **Metric registry** — :class:`Counter`, :class:`Gauge`, and
   fixed-bucket :class:`Histogram` primitives behind one
-  :class:`MetricRegistry`, with two read-side renderings: a JSON
-  ``snapshot()`` (what ``GET /v1/metrics`` embeds) and Prometheus text
-  exposition format 0.0.4 (``GET /v1/metrics?format=prometheus``).
-  Mutation is lock-guarded so the engine's event-loop thread, the
-  dispatch thread, and test threads can share one registry.
+  :class:`MetricRegistry`, read as one JSON ``snapshot()`` document
+  (what ``GET /v1/metrics`` embeds).  :func:`prometheus_text` is the one
+  encoder of such documents to Prometheus text exposition format 0.0.4
+  (``GET /v1/metrics?format=prometheus``), for one registry or for a
+  merge of several.  Mutation is lock-guarded so the engine's event-loop
+  thread, the dispatch thread, and test threads can share one registry.
 * **Traces** — :func:`new_trace_id` plus :class:`TraceContext`, the
   request-scoped identity the service threads from the HTTP edge through
   coalescing and batching down to the runner.  A context accumulates a
@@ -59,13 +60,12 @@ __all__ = [
     "RunTelemetry",
     "collect_run_telemetry",
     "current_collector",
-    "global_registry",
     "new_trace_id",
+    "prometheus_text",
     "record_backend_run",
     "record_fallback",
     "record_kernel_time",
     "record_stage",
-    "reset_global_registry",
 ]
 
 # Log-spaced 1 ms .. 60 s: the service's latency regime spans cache hits
@@ -95,12 +95,39 @@ def _escape_label(value: str) -> str:
             .replace('"', r'\"'))
 
 
-def _label_str(names: Sequence[str], values: Sequence[str]) -> str:
-    if not names:
+def _label_str(labels: Dict[str, Any]) -> str:
+    if not labels:
         return ""
-    inner = ",".join(f'{n}="{_escape_label(v)}"'
-                     for n, v in zip(names, values))
+    inner = ",".join(f'{n}="{_escape_label(v)}"' for n, v in labels.items())
     return "{" + inner + "}"
+
+
+def prometheus_text(families: Dict[str, Dict[str, Any]]) -> str:
+    """Text exposition format 0.0.4 of a registry snapshot document.
+
+    ``families`` maps a full metric name to ``{kind, help, series}`` —
+    the shape :meth:`MetricRegistry.snapshot` returns, and the shape a
+    merge of several snapshots keeps.  Families render in the given
+    order, series in list order.
+    """
+    lines: List[str] = []
+    for name, family in families.items():
+        kind = family["kind"]
+        lines.append(f"# HELP {name} {family['help']}")
+        lines.append(f"# TYPE {name} {kind}")
+        for entry in family["series"]:
+            labels = entry["labels"]
+            if kind != "histogram":
+                lines.append(f"{name}{_label_str(labels)} "
+                             f"{_fmt_value(entry['value'])}")
+                continue
+            for le, cum in entry["buckets"]:
+                lines.append(f"{name}_bucket"
+                             f"{_label_str(dict(labels, le=le))} {int(cum)}")
+            base = _label_str(labels)
+            lines.append(f"{name}_sum{base} {_fmt_value(entry['sum'])}")
+            lines.append(f"{name}_count{base} {int(entry['count'])}")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 class _Metric:
@@ -124,15 +151,31 @@ class _Metric:
         return tuple(str(labels[n]) for n in self.labelnames)
 
 
-class Counter(_Metric):
-    """Monotonically increasing count, optionally per label set."""
-
-    kind = "counter"
+class _Scalar(_Metric):
+    """One float per label set.  An unlabelled family starts at 0, so it
+    has its one series from registration on."""
 
     def __init__(self, name: str, help_text: str,
                  labelnames: Sequence[str] = ()) -> None:
         super().__init__(name, help_text, labelnames)
-        self._values: Dict[Tuple[str, ...], float] = {}
+        self._values: Dict[Tuple[str, ...], float] = (
+            {} if self.labelnames else {(): 0.0})
+
+    def value(self, **labels: str) -> float:
+        return self._values.get(self._key(labels), 0.0)
+
+    def series(self) -> List[Dict[str, Any]]:
+        with self._lock:
+            return [
+                {"labels": dict(zip(self.labelnames, key)), "value": value}
+                for key, value in sorted(self._values.items())
+            ]
+
+
+class Counter(_Scalar):
+    """Monotonically increasing count, optionally per label set."""
+
+    kind = "counter"
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         if amount < 0:
@@ -141,71 +184,24 @@ class Counter(_Metric):
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def value(self, **labels: str) -> float:
-        return self._values.get(self._key(labels), 0.0)
 
-    def series(self) -> List[Dict[str, Any]]:
-        with self._lock:
-            return [
-                {"labels": dict(zip(self.labelnames, key)), "value": value}
-                for key, value in sorted(self._values.items())
-            ]
-
-    def render(self) -> List[str]:
-        lines = [f"# HELP {self.name} {self.help}",
-                 f"# TYPE {self.name} counter"]
-        with self._lock:
-            items = sorted(self._values.items()) or [((), 0.0)] * (
-                0 if self.labelnames else 1)
-            for key, value in items:
-                lines.append(f"{self.name}"
-                             f"{_label_str(self.labelnames, key)} "
-                             f"{_fmt_value(value)}")
-        return lines
-
-
-class Gauge(_Metric):
+class Gauge(_Scalar):
     """A value that goes up and down (queue depth, in-flight)."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help_text: str,
-                 labelnames: Sequence[str] = ()) -> None:
-        super().__init__(name, help_text, labelnames)
-        self._values: Dict[Tuple[str, ...], float] = {}
 
     def set(self, value: float, **labels: str) -> None:
         key = self._key(labels)
         with self._lock:
             self._values[key] = float(value)
 
-    def value(self, **labels: str) -> float:
-        return self._values.get(self._key(labels), 0.0)
-
-    def series(self) -> List[Dict[str, Any]]:
-        with self._lock:
-            return [
-                {"labels": dict(zip(self.labelnames, key)), "value": value}
-                for key, value in sorted(self._values.items())
-            ]
-
-    def render(self) -> List[str]:
-        lines = [f"# HELP {self.name} {self.help}",
-                 f"# TYPE {self.name} gauge"]
-        with self._lock:
-            for key, value in sorted(self._values.items()):
-                lines.append(f"{self.name}"
-                             f"{_label_str(self.labelnames, key)} "
-                             f"{_fmt_value(value)}")
-        return lines
-
 
 class Histogram(_Metric):
     """Fixed-bucket histogram with Prometheus cumulative semantics.
 
     Buckets are upper bounds; internally counts are stored per bucket
-    and cumulated at render time, so ``observe`` is O(log buckets)
-    (binary search) and render is O(buckets).
+    and cumulated at read time, so ``observe`` is O(log buckets)
+    (binary search) and ``series`` is O(buckets).
     """
 
     kind = "histogram"
@@ -242,13 +238,6 @@ class Histogram(_Metric):
             counts[lo] += 1
             self._sums[key] += float(value)
 
-    def count(self, **labels: str) -> int:
-        counts = self._counts.get(self._key(labels))
-        return sum(counts) if counts else 0
-
-    def sum(self, **labels: str) -> float:
-        return self._sums.get(self._key(labels), 0.0)
-
     def series(self) -> List[Dict[str, Any]]:
         out: List[Dict[str, Any]] = []
         with self._lock:
@@ -267,24 +256,6 @@ class Histogram(_Metric):
                     "count": running + counts[-1],
                 })
         return out
-
-    def render(self) -> List[str]:
-        lines = [f"# HELP {self.name} {self.help}",
-                 f"# TYPE {self.name} histogram"]
-        for entry in self.series():
-            labels = entry["labels"]
-            names = tuple(labels)
-            values = tuple(labels.values())
-            for le, cum in entry["buckets"]:
-                lines.append(
-                    f"{self.name}_bucket"
-                    f"{_label_str(names + ('le',), values + (le,))} {cum}"
-                )
-            base = _label_str(names, values)
-            lines.append(f"{self.name}_sum{base} "
-                         f"{_fmt_value(entry['sum'])}")
-            lines.append(f"{self.name}_count{base} {entry['count']}")
-        return lines
 
 
 class MetricRegistry:
@@ -349,12 +320,7 @@ class MetricRegistry:
 
     def render_prometheus(self) -> str:
         """Text exposition format 0.0.4; one family per registered metric."""
-        with self._lock:
-            metrics = sorted(self._metrics.items())
-        lines: List[str] = []
-        for _name, metric in metrics:
-            lines.extend(metric.render())
-        return "\n".join(lines) + ("\n" if lines else "")
+        return prometheus_text(self.snapshot())
 
 
 # --------------------------------------------------------------------- #
@@ -527,31 +493,9 @@ def current_collector() -> Optional[RunTelemetry]:
     return stack[-1] if stack else None
 
 
-# Process-global registry: long-lived in-process view of the same
-# signals (what `repro inspect`/tests read without a service running).
-_GLOBAL_LOCK = threading.Lock()
-_GLOBAL_REGISTRY: Optional[MetricRegistry] = None
-
-
-def global_registry() -> MetricRegistry:
-    global _GLOBAL_REGISTRY
-    with _GLOBAL_LOCK:
-        if _GLOBAL_REGISTRY is None:
-            _GLOBAL_REGISTRY = MetricRegistry(namespace="repro")
-        return _GLOBAL_REGISTRY
-
-
-def reset_global_registry() -> None:
-    """Drop all process-global telemetry (test isolation)."""
-    global _GLOBAL_REGISTRY
-    with _GLOBAL_LOCK:
-        _GLOBAL_REGISTRY = None
-
-
 def record_backend_run(backend: str) -> None:
-    """Count one ``runner.run`` execution on ``backend`` (collector
-    only — this sits on the hot path, so no global work without an
-    installed collector)."""
+    """Count one ``runner.run`` execution on ``backend`` in the innermost
+    collector (a no-op without one)."""
     collector = current_collector()
     if collector is not None:
         collector.record_backend_run(backend)
@@ -561,12 +505,6 @@ def record_kernel_time(kernel: str, seconds: float) -> None:
     collector = current_collector()
     if collector is not None:
         collector.record_kernel_time(kernel, seconds)
-    registry = global_registry()
-    registry.histogram(
-        "fleet_kernel_seconds",
-        "Wall-clock seconds of one fleet-kernel execution.",
-        labelnames=("kernel",),
-    ).observe(seconds, kernel=kernel)
 
 
 def record_fallback(algorithm: str, reason: str, detail: str = "") -> None:
@@ -576,12 +514,6 @@ def record_fallback(algorithm: str, reason: str, detail: str = "") -> None:
     collector = current_collector()
     if collector is not None:
         collector.record_fallback(algorithm, reason, detail)
-    registry = global_registry()
-    registry.counter(
-        "fleet_fallback_total",
-        "Columnar-backend fallbacks to the per-node scheduler, by reason.",
-        labelnames=("algorithm", "reason"),
-    ).inc(algorithm=algorithm, reason=reason)
 
 
 def record_stage(name: str, seconds: float) -> None:

@@ -18,8 +18,8 @@ Layers:
   derivation of incremental re-solves for delta-form requests.
 * :mod:`repro.service.errors` — the unified error taxonomy every
   non-200 response speaks (worker and router alike).
-* :mod:`repro.service.stats` — serving counters, histograms, and the
-  latency reservoir behind ``/v1/metrics`` (JSON + Prometheus).
+* :mod:`repro.service.stats` — the one metric registry and the latency
+  reservoir behind ``/v1/metrics`` (JSON + Prometheus).
 * :mod:`repro.service.slo` — declarative service-level objectives and
   the verdict machinery ``make slo-check`` gates CI on.
 * :mod:`repro.service.fleet` — the sharded multi-worker fleet: router,

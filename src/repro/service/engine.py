@@ -34,7 +34,9 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import signal
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
@@ -215,7 +217,7 @@ class SolverEngine:
             max_workers=1, thread_name_prefix="repro-serve-dispatch"
         )
         if self.workers > 1 and self._registry is None:
-            self._worker_pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._worker_pool = self._new_worker_pool()
         loop = asyncio.get_running_loop()
         self._dispatch_task = loop.create_task(self._dispatch_loop())
         if self._worker_pool is not None:
@@ -409,34 +411,33 @@ class SolverEngine:
             report = self._memory_cache.get(key)
             if report is not None:
                 lookup = loop.time() - t0
-                stages = {"cache_lookup": lookup}
-                self._stats.requests += 1
-                self._stats.completed += 1
-                self._stats.record_cache_hit("memory")
-                self._stats.observe_latency(lookup)
-                self._stats.observe_stages(stages)
-                return ServedReport(report=report, cached=True,
-                                    seconds=lookup, trace_id=trace_id,
-                                    stages=stages, cache_tier="memory")
+                self._stats.inc("requests")
+                served = ServedReport(report=report, cached=True,
+                                      seconds=lookup, trace_id=trace_id,
+                                      stages={"cache_lookup": lookup},
+                                      cache_tier="memory")
+                self._stats.finish(served)
+                return served
         twin = self._inflight.get(key)
         if twin is not None:
-            self._stats.coalesced += 1
+            self._stats.inc("coalesced")
             loop = asyncio.get_running_loop()
             t0 = loop.time()
             served = await self._await_entry(twin, request.timeout_s)
             wait = loop.time() - t0
-            stages = {"coalesce_wait": wait}
-            self._stats.observe_stages(stages)
             # The follower keeps its own identity and wait; the leader's
             # trace (which did the computing) is recorded alongside.
-            return replace(served, coalesced=True, trace_id=trace_id,
-                           primary_trace_id=served.trace_id, stages=stages)
+            served = replace(served, coalesced=True, trace_id=trace_id,
+                             primary_trace_id=served.trace_id,
+                             stages={"coalesce_wait": wait})
+            self._stats.finish(served)
+            return served
         if request.delta is not None:
             served = self._serve_incremental(request, key, trace_id)
             if served is not None:
                 return served
         if self._queue.full():
-            self._stats.rejected += 1
+            self._stats.inc("rejected")
             raise RequestRejected(
                 "queue_full",
                 f"admission queue full ({self.max_queue} pending)",
@@ -454,7 +455,7 @@ class SolverEngine:
         # Cannot raise: fullness was checked above and only this
         # event-loop thread enqueues.
         self._queue.put_nowait(entry)
-        self._stats.requests += 1
+        self._stats.inc("requests")
         return await self._await_entry(entry, request.timeout_s)
 
     async def _await_entry(self, entry: _Entry,
@@ -466,7 +467,7 @@ class SolverEngine:
             return await asyncio.wait_for(asyncio.shield(entry.future),
                                           timeout_s)
         except asyncio.TimeoutError:
-            self._stats.timeouts += 1
+            self._stats.inc("timeouts")
             raise DeadlineExceeded(
                 f"deadline of {timeout_s}s exceeded for "
                 f"{entry.request.algorithm} (key {entry.key[:12]}…)"
@@ -491,7 +492,7 @@ class SolverEngine:
         loop = asyncio.get_running_loop()
         t0 = loop.time()
         if not inc.eligible(request):
-            self._stats.incremental_fallback += 1
+            self._stats.inc("incremental_fallback")
             return None
         assert request.delta is not None
         parent_key = request.key_for_fingerprint(request.delta.parent)
@@ -506,12 +507,12 @@ class SolverEngine:
                 default_backend=self.backend)
             tier = "disk"
         if parent_report is None or not parent_report.ok:
-            self._stats.incremental_fallback += 1
+            self._stats.inc("incremental_fallback")
             return None
         cert = inc.certify(request.graph, parent_report.independent_set,
                            request.delta.touched)
         if cert is None:
-            self._stats.incremental_fallback += 1
+            self._stats.inc("incremental_fallback")
             return None
         _region, frontier = cert
         report = inc.derive_report(parent_report, request)
@@ -521,16 +522,14 @@ class SolverEngine:
             # or not) hit the memory tier directly.
             self._memory_cache.put(key, report)
         seconds = loop.time() - t0
-        stages = {"incremental": seconds}
-        self._stats.requests += 1
-        self._stats.completed += 1
-        self._stats.incremental_served += 1
-        self._stats.observe_latency(seconds)
-        self._stats.observe_stages(stages)
-        return ServedReport(report=report, cached=True, seconds=seconds,
-                            trace_id=trace_id, stages=stages,
-                            cache_tier=tier, solve_mode="incremental",
-                            dirty_frontier=len(frontier))
+        self._stats.inc("requests")
+        served = ServedReport(report=report, cached=True, seconds=seconds,
+                              trace_id=trace_id,
+                              stages={"incremental": seconds},
+                              cache_tier=tier, solve_mode="incremental",
+                              dirty_frontier=len(frontier))
+        self._stats.finish(served)
+        return served
 
     @staticmethod
     def _frontier_size(request: SolveRequest) -> int:
@@ -562,17 +561,30 @@ class SolverEngine:
                         params=dict(request.params), label=request.label,
                         backend=backend or None)
 
+    def _new_worker_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(max_workers=self.workers,
+                                   initializer=_pool_worker_init)
+
     def _run_batch(self, jobs: List[Any]):
-        """Blocking micro-batch execution; runs on the dispatch thread."""
+        """Blocking micro-batch execution; runs on the dispatch thread.
+
+        A pool worker that died (killed, out of memory) breaks the whole
+        pool: the pool is replaced and the batch run once more.  Jobs
+        are deterministic, so the re-run yields the same reports.
+        """
         from repro.simulator.batch import batch_run
 
-        return batch_run(
-            jobs,
+        options = dict(
             n_jobs=1 if self._registry is not None else self.workers,
             cache_dir=self.cache_dir,
             policy=self.policy,
-            executor=self._worker_pool,
         )
+        try:
+            return batch_run(jobs, executor=self._worker_pool, **options)
+        except BrokenProcessPool:
+            self._worker_pool.shutdown(wait=False, cancel_futures=True)
+            self._worker_pool = self._new_worker_pool()
+            return batch_run(jobs, executor=self._worker_pool, **options)
 
     async def _dispatch_loop(self) -> None:
         loop = asyncio.get_running_loop()
@@ -601,7 +613,7 @@ class SolverEngine:
             else:
                 infra_error = ""
             now = loop.time()
-            self._stats.batches += 1
+            self._stats.inc("batches")
             for e, outcome in zip(batch, outcomes):
                 self._inflight.pop(e.key, None)
                 if isinstance(e.request.graph, GraphRef):
@@ -627,7 +639,6 @@ class SolverEngine:
                                           trace_id=e.trace_id,
                                           stages=stages,
                                           **delta_marks)
-                    self._stats.failed += 1
                 else:
                     stages.update(outcome.telemetry.get("stages", {}))
                     stages["solve"] = 0.0 if outcome.cached else outcome.seconds
@@ -646,23 +657,15 @@ class SolverEngine:
                                           cache_tier=("disk" if outcome.cached
                                                       else ""),
                                           **delta_marks)
-                    self._stats.absorb_run_telemetry(outcome.telemetry)
-                    if outcome.cached:
-                        self._stats.record_cache_hit("disk")
-                    else:
-                        # An actual solver execution (not served from any
-                        # cache tier) — what the fleet's exactly-once
-                        # coalescing test counts across workers.
-                        self._stats.executed += 1
-                    if not report.ok:
-                        self._stats.failed += 1
-                    elif self._memory_cache is not None:
+                    if report.ok and self._memory_cache is not None:
                         # Both computed results and disk-cache hits fall
                         # through into the memory tier.
                         self._memory_cache.put(e.key, report)
-                self._stats.completed += 1
-                self._stats.observe_latency(served.seconds)
-                self._stats.observe_stages(stages)
+                # An actual solver execution (not served from any cache
+                # tier) is what the fleet's exactly-once coalescing test
+                # counts across workers.
+                self._stats.finish(served, executed=(
+                    outcome is not None and not outcome.cached))
                 if not e.future.done():
                     e.future.set_result(served)
 
@@ -670,6 +673,22 @@ class SolverEngine:
 def _pool_warmup() -> bool:
     """No-op executed in each pool process to force its cold start."""
     return True
+
+
+def _pool_worker_init() -> None:
+    """Keep signals sent to a pool worker in that worker.
+
+    Workers fork from a server whose event loop owns SIGTERM and SIGINT
+    through a wakeup fd; inherited as is, a signal to a worker would be
+    written into the server's self-pipe and handled as the server's
+    own, and the worker itself would ignore it.  SIGTERM gets its
+    default action back.  SIGINT is ignored: a terminal Ctrl-C reaches
+    the whole process group, and the server drains and shuts the pool
+    down itself.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _failed_report(request: SolveRequest, error: str) -> SolveReport:

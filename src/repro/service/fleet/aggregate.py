@@ -1,38 +1,45 @@
 """Merging per-worker ``/v1/metrics`` snapshots into one fleet view.
 
 Every worker serves the JSON document built by
-:meth:`repro.service.stats.ServiceStats.snapshot`.  The router fetches
-all of them and folds them here:
+:meth:`repro.service.stats.ServiceStats.snapshot`, whose ``histograms``
+section is that worker's whole metric registry: every counter, gauge
+and histogram family.  The router fetches all of them and merges those
+registry sections family by family:
 
-* counters are summed, rates recomputed from the fleet-wide totals;
-* registry histograms are merged bucket-wise (all workers share the
-  bucket bounds they were registered with), which is what makes
-  fleet-wide approximate percentiles possible — per-worker p99s cannot
-  be averaged, but cumulative bucket counts can be added and the
-  quantile re-read off the merged distribution;
-* per-worker documents are kept verbatim under ``workers`` so nothing
-  is lost by aggregation.
+* counter series and the additive gauges (``in_flight``,
+  ``queue_depth``) are summed; the gauges that do not add up across
+  workers (``draining``, ``uptime_seconds``) take the largest worker
+  value;
+* histograms are merged bucket-wise (all workers share the bucket
+  bounds they were registered with), which is what makes fleet-wide
+  approximate percentiles possible — per-worker p99s cannot be
+  averaged, but cumulative bucket counts can be added and the quantile
+  re-read off the merged distribution.
 
-The Prometheus view re-renders the merged registry families plus a
-``worker`` label on the per-worker gauge series, so one scrape of the
-router covers the whole fleet.
+The flat fleet keys and the ``stages``/``backend`` blocks come from
+:func:`repro.service.stats.summarize` run on the merge, the same
+function each worker runs on its own registry.  Per-worker documents
+are kept verbatim under ``workers`` so nothing is lost by aggregation.
+
+The Prometheus view renders every merged family under ``repro_fleet_``
+through the one encoder, :func:`repro.obs.telemetry.prometheus_text`.
+Counters also carry one series per worker, labelled ``worker``, and the
+router's own counters render as ``repro_fleet_router_*``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.telemetry import prometheus_text
+from repro.service.stats import NAMESPACE, summarize
+
 __all__ = ["aggregate_snapshots", "render_fleet_prometheus"]
 
-# ServiceStats counters that sum across workers (same keys as the
-# per-worker snapshot document).
-_SUM_KEYS = (
-    "requests", "completed", "failed", "rejected", "coalesced",
-    "cache_hits", "memory_cache_hits", "executed", "timeouts", "batches",
-    "in_flight", "queue_depth",
-)
+# Gauges that do not add up across workers: merged by taking the max.
+_NOT_SUMMED = (f"{NAMESPACE}_draining", f"{NAMESPACE}_uptime_seconds")
 
-_LATENCY_HIST = "repro_service_request_latency_seconds"
+_LATENCY_HIST = f"{NAMESPACE}_request_latency_seconds"
 
 
 def _merge_bucket_lists(
@@ -65,7 +72,7 @@ def _floor_count(buckets: Sequence[Sequence[Any]], le: str) -> int:
     return best
 
 
-def _merge_histograms(snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:
+def _merge_families(snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Merge the ``histograms`` registry sections of worker snapshots."""
     merged: Dict[str, Any] = {}
     for snap in snapshots:
@@ -93,6 +100,9 @@ def _merge_histograms(snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:
                         target["buckets"], entry["buckets"])
                     target["sum"] += float(entry.get("sum", 0.0))
                     target["count"] += int(entry.get("count", 0))
+                elif name in _NOT_SUMMED:
+                    target["value"] = max(target["value"],
+                                          float(entry.get("value", 0.0)))
                 else:
                     target["value"] += float(entry.get("value", 0.0))
     return merged
@@ -123,6 +133,35 @@ def _quantile_from_buckets(buckets: Sequence[Sequence[Any]],
     return last_finite
 
 
+def _merge_memory(snapshots: List[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
+    """Sum the workers' memory-tier LRU blocks (``None`` if none has one)."""
+    blocks = [snap["memory_cache"] for snap in snapshots
+              if snap.get("memory_cache")]
+    if not blocks:
+        return None
+    memory = {key: sum(int(mc.get(key, 0)) for mc in blocks)
+              for key in ("maxsize", "size", "hits", "misses", "evictions")}
+    lookups = memory["hits"] + memory["misses"]
+    memory["hit_rate"] = memory["hits"] / lookups if lookups else 0.0
+    return memory
+
+
+def _latency_approx(families: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+    """Fleet p50/p95/p99 read off the merged request-latency histogram."""
+    latency = (families.get(_LATENCY_HIST) or {}).get("series") or []
+    unlabelled = next((s for s in latency if not s["labels"]), None)
+    if unlabelled is None:
+        return None
+    buckets, count = unlabelled["buckets"], unlabelled["count"]
+    return {
+        "method": "merged-histogram interpolation",
+        "count": count,
+        "p50_s": _quantile_from_buckets(buckets, count, 50),
+        "p95_s": _quantile_from_buckets(buckets, count, 95),
+        "p99_s": _quantile_from_buckets(buckets, count, 99),
+    }
+
+
 def aggregate_snapshots(
     snapshots: List[Dict[str, Any]],
     *,
@@ -135,93 +174,26 @@ def aggregate_snapshots(
     should simply be absent from ``snapshots`` — ``workers_reporting``
     records how many answered.
     """
+    families = _merge_families(snapshots)
     doc: Dict[str, Any] = {
         "schema": "v1",
         "scope": "fleet",
         "workers_reporting": len(snapshots),
-    }
-    totals = {key: 0 for key in _SUM_KEYS}
-    memory = {"maxsize": 0, "size": 0, "hits": 0, "misses": 0, "evictions": 0}
-    any_memory = False
-    stages: Dict[str, Dict[str, float]] = {}
-    fallback_reasons: Dict[str, int] = {}
-    backend_runs: Dict[str, int] = {}
-    kernels: Dict[str, Dict[str, float]] = {}
-    draining = False
-    for snap in snapshots:
-        for key in _SUM_KEYS:
-            totals[key] += int(snap.get(key, 0))
-        draining = draining or bool(snap.get("draining"))
-        mc = snap.get("memory_cache")
-        if mc:
-            any_memory = True
-            for key in memory:
-                memory[key] += int(mc.get(key, 0))
-        for stage, entry in (snap.get("stages") or {}).items():
-            agg = stages.setdefault(stage, {"count": 0, "total_s": 0.0})
-            agg["count"] += entry.get("count", 0)
-            agg["total_s"] += entry.get("total_s", 0.0)
-        backend = snap.get("backend") or {}
-        for reason, n in (backend.get("fallback_reasons") or {}).items():
-            fallback_reasons[reason] = fallback_reasons.get(reason, 0) + n
-        for name, n in (backend.get("runs") or {}).items():
-            backend_runs[name] = backend_runs.get(name, 0) + n
-        for name, entry in (backend.get("kernels") or {}).items():
-            agg = kernels.setdefault(name, {"runs": 0, "seconds": 0.0})
-            agg["runs"] += entry.get("runs", 0)
-            agg["seconds"] += entry.get("seconds", 0.0)
-    for agg in stages.values():
-        agg["mean_s"] = (agg["total_s"] / agg["count"]) if agg["count"] else 0.0
-
-    doc.update(totals)
-    doc["draining"] = draining
-    total = totals["requests"] + totals["coalesced"]
-    served_from_cache = totals["cache_hits"] + totals["memory_cache_hits"]
-    doc["cache_hit_rate"] = (totals["cache_hits"] / total) if total else 0.0
-    doc["served_from_cache_rate"] = (
-        (served_from_cache / total) if total else 0.0)
-    doc["coalesce_rate"] = (totals["coalesced"] / total) if total else 0.0
-    doc["memory_cache"] = dict(
-        memory,
-        hit_rate=(memory["hits"] / (memory["hits"] + memory["misses"])
-                  if (memory["hits"] + memory["misses"]) else 0.0),
-    ) if any_memory else None
-    doc["stages"] = {k: stages[k] for k in sorted(stages)}
-    doc["backend"] = {
-        "fallbacks": sum(fallback_reasons.values()),
-        "fallback_reasons": dict(sorted(fallback_reasons.items())),
-        "runs": dict(sorted(backend_runs.items())),
-        "kernels": {k: {"runs": int(v["runs"]), "seconds": v["seconds"]}
-                    for k, v in sorted(kernels.items())},
-    }
-
-    histograms = _merge_histograms(snapshots)
-    doc["histograms"] = histograms
-    latency = histograms.get(_LATENCY_HIST, {}).get("series") or []
-    unlabelled = next((s for s in latency if not s["labels"]), None)
-    if unlabelled is not None:
-        buckets, count = unlabelled["buckets"], unlabelled["count"]
-        doc["latency_approx"] = {
-            "method": "merged-histogram interpolation",
-            "count": count,
-            "p50_s": _quantile_from_buckets(buckets, count, 50),
-            "p95_s": _quantile_from_buckets(buckets, count, 95),
-            "p99_s": _quantile_from_buckets(buckets, count, 99),
-        }
-    else:
-        doc["latency_approx"] = None
-
-    doc["workers"] = {
-        str(snap.get("worker_id", i)): snap
-        for i, snap in enumerate(snapshots)
+        **summarize(families),
+        "memory_cache": _merge_memory(snapshots),
+        "histograms": families,
+        "latency_approx": _latency_approx(families),
+        "workers": {str(snap.get("worker_id", i)): snap
+                    for i, snap in enumerate(snapshots)},
     }
     if router is not None:
         doc["router"] = router
     return doc
 
 
-def _fmt(value: float) -> str:
-    return repr(int(value)) if float(value).is_integer() else repr(value)
+def _family(kind: str, help_text: str, value: float) -> Dict[str, Any]:
+    return {"kind": kind, "help": help_text,
+            "series": [{"labels": {}, "value": value}]}
 
 
 def render_fleet_prometheus(
@@ -231,64 +203,28 @@ def render_fleet_prometheus(
 ) -> str:
     """Prometheus text exposition 0.0.4 of the merged fleet state.
 
-    Counter families carry fleet totals plus a per-worker breakdown via
-    a ``worker`` label; the merged request-latency histogram is emitted
-    with standard ``_bucket``/``_sum``/``_count`` series so
+    Every merged family renders as ``repro_fleet_<name>``; counters add
+    a per-worker breakdown via a ``worker`` label.  Histograms keep
+    standard ``_bucket``/``_sum``/``_count`` series so
     ``histogram_quantile`` works on one router scrape.
     """
     merged = aggregate_snapshots(snapshots, router=router)
-    lines: List[str] = []
-
-    counter_help = {
-        "requests": "Accepted POST /v1/solve submissions.",
-        "completed": "Reports delivered (ok or failed).",
-        "failed": "Reports with ok=False.",
-        "rejected": "Admission-control rejections (HTTP 429).",
-        "coalesced": "Requests served by an in-flight twin.",
-        "cache_hits": "Reports served from the shared disk cache.",
-        "memory_cache_hits": "Reports served from per-worker memory LRUs.",
-        "executed": "Solver executions (no cache tier hit).",
-        "timeouts": "Per-request deadlines exceeded.",
-        "batches": "Micro-batches dispatched.",
-    }
-    for key, help_text in counter_help.items():
-        name = f"repro_fleet_{key}_total"
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} counter")
-        lines.append(f"{name} {_fmt(merged[key])}")
-        for worker_id, snap in sorted(merged["workers"].items()):
-            lines.append(f'{name}{{worker="{worker_id}"}} '
-                         f"{_fmt(snap.get(key, 0))}")
-
-    gauge_help = {
-        "in_flight": "Requests admitted but not yet resolved, fleet-wide.",
-        "queue_depth": "Undispatched admission-queue entries, fleet-wide.",
-        "workers_reporting": "Workers whose metrics were scraped.",
-    }
-    for key, help_text in gauge_help.items():
-        name = f"repro_fleet_{key}"
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} gauge")
-        lines.append(f"{name} {_fmt(merged[key])}")
-
-    if router is not None:
-        for key, value in sorted(router.items()):
-            if not isinstance(value, (int, float)):
-                continue
-            name = f"repro_fleet_router_{key}"
-            lines.append(f"# HELP {name} Router-side counter.")
-            lines.append(f"# TYPE {name} counter")
-            lines.append(f"{name} {_fmt(value)}")
-
-    latency = (merged["histograms"].get(_LATENCY_HIST) or {}).get("series")
-    unlabelled = next((s for s in latency or [] if not s["labels"]), None)
-    if unlabelled is not None:
-        name = "repro_fleet_request_latency_seconds"
-        lines.append(f"# HELP {name} Merged per-worker request latency.")
-        lines.append(f"# TYPE {name} histogram")
-        for le, cum in unlabelled["buckets"]:
-            lines.append(f'{name}_bucket{{le="{le}"}} {int(cum)}')
-        lines.append(f"{name}_sum {_fmt(unlabelled['sum'])}")
-        lines.append(f"{name}_count {int(unlabelled['count'])}")
-
-    return "\n".join(lines) + "\n"
+    families: Dict[str, Any] = {}
+    for name, family in merged["histograms"].items():
+        series = list(family["series"])
+        if family["kind"] == "counter":
+            for worker_id, snap in sorted(merged["workers"].items()):
+                own = (snap.get("histograms") or {}).get(name) or {}
+                series += [
+                    dict(entry, labels=dict(entry["labels"], worker=worker_id))
+                    for entry in own.get("series", [])
+                ]
+        fleet_name = name.replace(f"{NAMESPACE}_", "repro_fleet_", 1)
+        families[fleet_name] = dict(family, series=series)
+    families["repro_fleet_workers_reporting"] = _family(
+        "gauge", "Workers whose metrics were scraped.", len(snapshots))
+    for key, value in sorted((router or {}).items()):
+        if isinstance(value, (int, float)):
+            families[f"repro_fleet_router_{key}"] = _family(
+                "counter", "Router-side counter.", value)
+    return prometheus_text(families)

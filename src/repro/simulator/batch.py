@@ -30,7 +30,6 @@ import hashlib
 import json
 import os
 import time
-import warnings
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
@@ -58,24 +57,7 @@ __all__ = [
     "cache_key_for",
     "cached_outcome_for",
     "job_cache_key",
-    "algorithm_registry",
 ]
-
-
-def __getattr__(name: str) -> Any:
-    # The registry moved to repro.registry (it is the public catalogue of
-    # solvers, not a batch-engine detail); keep the old import path alive
-    # one deprecation cycle.
-    if name == "algorithm_registry":
-        warnings.warn(
-            "repro.simulator.batch.algorithm_registry moved to "
-            "repro.registry.algorithm_registry (also re-exported as "
-            "repro.algorithm_registry); this alias will be removed",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _algorithm_registry
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # --------------------------------------------------------------------- #

@@ -163,17 +163,9 @@ class TestTelemetrySink:
         # round profiles were delivered (the sink implements the hook)
         assert reg.get("sim_compute_seconds_total").value() > 0
 
-    def test_defaults_to_global_registry(self):
-        from repro.obs import global_registry, reset_global_registry
-
-        reset_global_registry()
-        try:
-            run(path(3), EchoNeighborSum, sink=TelemetrySink())
-            events = global_registry().get("sim_events_total")
-            assert events is not None
-            assert events.value(kind="send") > 0
-        finally:
-            reset_global_registry()
+    def test_registry_is_required(self):
+        with pytest.raises(TypeError):
+            TelemetrySink()
 
     def test_renders_in_prometheus_exposition(self):
         reg = MetricRegistry(namespace="t")

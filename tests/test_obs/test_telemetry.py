@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 import threading
 
@@ -19,12 +20,11 @@ from repro.obs.telemetry import (
     TraceContext,
     collect_run_telemetry,
     current_collector,
-    global_registry,
     new_trace_id,
+    prometheus_text,
     record_backend_run,
     record_fallback,
     record_kernel_time,
-    reset_global_registry,
 )
 
 
@@ -53,9 +53,11 @@ class TestCounter:
             c.inc(direction="up")
 
     def test_render_escapes_label_values(self):
-        c = Counter("ops_total", "help", labelnames=("detail",))
-        c.inc(detail='say "hi"\nplease\\now')
-        line = [ln for ln in c.render() if not ln.startswith("#")][0]
+        reg = MetricRegistry()
+        reg.counter("ops_total", "help", labelnames=("detail",)).inc(
+            detail='say "hi"\nplease\\now')
+        line = [ln for ln in reg.render_prometheus().splitlines()
+                if not ln.startswith("#")][0]
         assert '\\"hi\\"' in line
         assert "\\n" in line
         assert "\n" not in line
@@ -69,10 +71,10 @@ class TestGauge:
         assert g.value() == 2.0
 
     def test_render(self):
-        g = Gauge("depth", "help")
-        g.set(3)
-        assert g.render() == ["# HELP depth help", "# TYPE depth gauge",
-                              "depth 3"]
+        reg = MetricRegistry()
+        reg.gauge("depth", "help").set(3)
+        assert reg.render_prometheus().splitlines() == [
+            "# HELP depth help", "# TYPE depth gauge", "depth 3"]
 
 
 class TestHistogram:
@@ -103,9 +105,9 @@ class TestHistogram:
         assert counts[-1] == entry["count"] == 200
 
     def test_render_has_bucket_sum_count(self):
-        h = Histogram("lat", "help", buckets=(0.5,))
-        h.observe(0.25)
-        text = "\n".join(h.render())
+        reg = MetricRegistry()
+        reg.histogram("lat", "help", buckets=(0.5,)).observe(0.25)
+        text = reg.render_prometheus()
         assert '# TYPE lat histogram' in text
         assert 'lat_bucket{le="0.5"} 1' in text
         assert 'lat_bucket{le="+Inf"} 1' in text
@@ -172,6 +174,26 @@ class TestMetricRegistry:
         assert 'svc_lat_seconds_bucket{le="+Inf"} 1' in text
         assert "svc_lat_seconds_count 1" in text
 
+    def test_unlabelled_scalars_have_a_series_from_registration(self):
+        reg = MetricRegistry(namespace="svc")
+        reg.counter("jobs_total", "jobs run")
+        reg.gauge("depth", "queue depth")
+        snap = reg.snapshot()
+        assert snap["svc_jobs_total"]["series"] == [{"labels": {},
+                                                     "value": 0.0}]
+        assert snap["svc_depth"]["series"] == [{"labels": {}, "value": 0.0}]
+        assert "svc_jobs_total 0" in reg.render_prometheus()
+
+    def test_encoder_reads_a_json_round_tripped_snapshot(self):
+        reg = MetricRegistry(namespace="svc")
+        reg.counter("ops_total", "ops", labelnames=("kind",)).inc(kind="r")
+        reg.histogram("lat_seconds", "latency",
+                      labelnames=("stage",)).observe(0.003, stage="solve")
+        doc = json.loads(json.dumps(reg.snapshot()))
+        assert prometheus_text(doc) == reg.render_prometheus()
+        assert 'svc_lat_seconds_bucket{stage="solve",le="+Inf"} 1' in \
+            prometheus_text(doc)
+
 
 class TestReservoirSample:
     def test_fills_then_stays_bounded(self):
@@ -232,12 +254,6 @@ class TestTraceContext:
 
 
 class TestRunCollectors:
-    def setup_method(self):
-        reset_global_registry()
-
-    def teardown_method(self):
-        reset_global_registry()
-
     def test_no_collector_is_a_noop(self):
         assert current_collector() is None
         record_backend_run("per-node")  # must not raise
@@ -274,17 +290,6 @@ class TestRunCollectors:
             t.join()
             assert current_collector() is not None
         assert seen["other"] is None
-
-    def test_fallbacks_reach_global_registry(self):
-        record_fallback("Foo", "faults")
-        record_fallback("Foo", "faults")
-        counter = global_registry().get("fleet_fallback_total")
-        assert counter.value(algorithm="Foo", reason="faults") == 2.0
-
-    def test_kernel_time_reaches_global_histogram(self):
-        record_kernel_time("GhaffariMIS", 0.01)
-        hist = global_registry().get("fleet_kernel_seconds")
-        assert hist.count(kernel="GhaffariMIS") == 1
 
     def test_empty_collector_doc_is_empty(self):
         with collect_run_telemetry() as col:

@@ -196,13 +196,6 @@ class TestPublicSurface:
                 "ranking", "bar-yehuda", "weighted-greedy",
                 "mis-luby", "mis-ghaffari", "mis-det"} <= names
 
-    def test_batch_registry_alias_warns(self):
-        from repro.simulator import batch
-
-        with pytest.warns(DeprecationWarning, match="repro.registry"):
-            registry = batch.algorithm_registry
-        assert set(registry()) == set(repro.algorithm_registry())
-
     def test_describe_algorithms_lists_eps(self):
         entries = {e["name"]: e for e in describe_algorithms()}
         thm2 = entries["thm2"]

@@ -17,7 +17,12 @@ import pytest
 from repro.api import SolveRequest, solve
 from repro.core import weighted_greedy_maxis
 from repro.graphs import gnp, uniform_weights
-from repro.service import SolverEngine, SolverServer
+from repro.service import (
+    ServedReport,
+    ServiceStats,
+    SolverEngine,
+    SolverServer,
+)
 from repro.service.fleet import shard_for_request
 from repro.service.fleet.aggregate import (
     aggregate_snapshots,
@@ -25,6 +30,13 @@ from repro.service.fleet.aggregate import (
 )
 from repro.service.fleet.saturation import start_fleet
 from repro.service.http import HttpClient
+
+
+# Fleet keys that are the sum of the same key over the workers.
+SUMMED_KEYS = ("requests", "completed", "failed", "rejected", "coalesced",
+               "cache_hits", "memory_cache_hits", "executed", "timeouts",
+               "batches", "incremental_served", "incremental_fallback",
+               "in_flight", "queue_depth")
 
 
 @pytest.fixture
@@ -390,8 +402,9 @@ class TestFleetMetrics:
         assert doc["requests"] == 8
         assert doc["executed"] == 4
         assert doc["memory_cache_hits"] == 4
-        assert doc["requests"] == sum(
-            w["requests"] for w in doc["workers"].values())
+        for key in SUMMED_KEYS:
+            assert doc[key] == sum(
+                w[key] for w in doc["workers"].values()), key
         assert doc["router"]["routed"] == 8
         assert doc["latency_approx"]["count"] == 8
         assert doc["latency_approx"]["p99_s"] >= doc["latency_approx"]["p50_s"]
@@ -424,48 +437,40 @@ class TestFleetMetrics:
 
 
 class TestAggregateUnit:
-    """aggregate_snapshots on synthetic worker documents."""
+    """aggregate_snapshots on snapshots of real ServiceStats objects."""
 
     @staticmethod
-    def _snap(worker_id, requests, buckets):
-        return {
-            "worker_id": worker_id,
-            "requests": requests,
-            "completed": requests,
-            "coalesced": 0,
-            "cache_hits": 0,
-            "memory_cache_hits": 0,
-            "executed": requests,
-            "histograms": {
-                "repro_service_request_latency_seconds": {
-                    "kind": "histogram",
-                    "help": "x",
-                    "series": [{
-                        "labels": {},
-                        "buckets": buckets,
-                        "sum": 1.0,
-                        "count": buckets[-1][1],
-                    }],
-                },
-            },
-        }
+    def _snap(worker_id, latencies, report):
+        """One worker's ``/v1/metrics`` document after one computed
+        request per latency, as it arrives over the wire."""
+        stats = ServiceStats()
+        for seconds in latencies:
+            stats.inc("requests")
+            stats.finish(ServedReport(report=report, seconds=seconds),
+                         executed=True)
+        snap = stats.snapshot(in_flight=0, queue_depth=0, draining=False,
+                              worker_id=worker_id)
+        return json.loads(json.dumps(snap))
 
-    def test_counter_sum_and_histogram_merge(self):
-        a = self._snap("0", 6, [["0.1", 4], ["1", 6], ["+Inf", 6]])
-        b = self._snap("1", 2, [["0.1", 1], ["1", 2], ["+Inf", 2]])
+    def test_counter_sum_and_histogram_merge(self, instance):
+        report = solve(instance, "thm2", seed=7, eps=0.5)
+        a = self._snap("0", [0.05] * 4 + [0.5] * 2, report)
+        b = self._snap("1", [0.05, 0.5], report)
         doc = aggregate_snapshots([a, b])
         assert doc["requests"] == 8
         assert doc["executed"] == 8
         merged = doc["histograms"][
             "repro_service_request_latency_seconds"]["series"][0]
-        assert merged["buckets"] == [["0.1", 5], ["1", 8], ["+Inf", 8]]
+        buckets = dict(merged["buckets"])
+        assert (buckets["0.1"], buckets["1"], buckets["+Inf"]) == (5, 8, 8)
         assert merged["count"] == 8
         # p50 falls in the first bucket (5 of 8 <= 0.1s).
         assert 0.0 < doc["latency_approx"]["p50_s"] <= 0.1
         assert 0.1 < doc["latency_approx"]["p99_s"] <= 1.0
 
-    def test_render_prometheus_from_synthetic(self):
-        a = self._snap("0", 3, [["0.1", 3], ["+Inf", 3]])
+    def test_render_prometheus_from_synthetic(self, instance):
+        report = solve(instance, "thm2", seed=7, eps=0.5)
+        a = self._snap("0", [0.05] * 3, report)
         text = render_fleet_prometheus([a], router={"routed": 3})
         assert "repro_fleet_requests_total 3" in text
         assert 'repro_fleet_request_latency_seconds_bucket{le="+Inf"} 3' in text

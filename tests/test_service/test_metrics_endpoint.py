@@ -5,14 +5,27 @@ from __future__ import annotations
 import asyncio
 import json
 import re
+import threading
 
 import pytest
 
-from repro.api import SolveRequest
+from repro.api import SolveRequest, solve
+from repro.core import weighted_greedy_maxis
 from repro.graphs import gnp, uniform_weights
+from repro.service import (
+    DeadlineExceeded,
+    RequestRejected,
+    ServedReport,
+    SolverEngine,
+)
 from repro.service.stats import STAGES, ServiceStats
 
 from .test_server import ServerThread, http
+
+# The flat JSON counters; each is one registry family.
+FLAT_COUNTERS = ("requests", "completed", "failed", "rejected", "coalesced",
+                 "cache_hits", "memory_cache_hits", "executed", "timeouts",
+                 "batches", "incremental_served", "incremental_fallback")
 
 
 @pytest.fixture
@@ -186,16 +199,6 @@ class TestServiceStatsUnit:
         snap = stats.snapshot(in_flight=0, queue_depth=0, draining=False)
         assert set(snap["stages"]) == {"solve"}
 
-    def test_render_prometheus_counter_sync_is_idempotent(self):
-        stats = ServiceStats()
-        stats.requests = 5
-        first = stats.render_prometheus(in_flight=0, queue_depth=0,
-                                        draining=False)
-        second = stats.render_prometheus(in_flight=0, queue_depth=0,
-                                         draining=False)
-        assert "repro_service_requests_total 5" in first
-        assert "repro_service_requests_total 5" in second
-
     def test_latency_reservoir_survives_sustained_load(self):
         stats = ServiceStats()
         for i in range(10_000):
@@ -207,12 +210,14 @@ class TestServiceStatsUnit:
         # Unbiased over the whole run, not the newest 4096.
         assert snap["p50_latency_s"] == pytest.approx(0.5, abs=0.05)
 
-    def test_json_and_prometheus_agree_on_counts(self):
+    def test_json_and_prometheus_agree_on_counts(self, instance):
+        report = solve(instance, "thm2", seed=3, eps=0.5)
         stats = ServiceStats()
-        stats.requests = 3
-        stats.completed = 2
+        for _ in range(3):
+            stats.inc("requests")
         for s in (0.01, 0.02):
-            stats.observe_latency(s)
+            stats.finish(ServedReport(report=report, seconds=s),
+                         executed=True)
         snap = stats.snapshot(in_flight=1, queue_depth=0, draining=False)
         text = stats.render_prometheus(in_flight=1, queue_depth=0,
                                        draining=False)
@@ -220,6 +225,9 @@ class TestServiceStatsUnit:
         assert hist["series"][0]["count"] == 2
         assert "repro_service_request_latency_seconds_count 2" in text
         assert "repro_service_requests_total 3" in text
+        assert "repro_service_completed_total 2" in text
+        assert (snap["requests"], snap["completed"], snap["executed"]) == \
+            (3, 2, 2)
 
 
 class TestHeadAndMetricsJson:
@@ -238,3 +246,134 @@ class TestHeadAndMetricsJson:
         assert status == 200
         assert headers["content-type"] == "application/json"
         json.loads(body)
+
+
+def _family_total(families, name, **labels):
+    family = families.get(name) or {"series": []}
+    return sum(entry["value"] for entry in family["series"]
+               if all(entry["labels"].get(k) == v for k, v in labels.items()))
+
+
+class TestMetricContract:
+    """What each serve path counts, pinned as literal numbers."""
+
+    def test_every_serve_path_counts(self, instance, tmp_path):
+        gate = threading.Event()
+        gate.set()
+        calls = []
+
+        def solver(graph, seed=None, **params):
+            calls.append(seed)
+            if not gate.wait(timeout=10.0):
+                raise RuntimeError("gate never opened")
+            if params.get("fail"):
+                raise RuntimeError("induced solver failure")
+            return weighted_greedy_maxis(graph, seed=seed)
+
+        engine_kwargs = dict(registry={"mis-luby": solver},
+                             cache_dir=str(tmp_path), memory_cache=8,
+                             max_queue=1, max_batch=1)
+
+        def req(seed, **kwargs):
+            return SolveRequest(graph=instance, algorithm="mis-luby",
+                                seed=seed, **kwargs)
+
+        async def scenario():
+            # Warm the disk tier with an engine whose counts are not read.
+            warmer = SolverEngine(**engine_kwargs)
+            await warmer.start()
+            await warmer.submit(req(100))
+            await warmer.aclose()
+
+            engine = SolverEngine(**engine_kwargs)
+            await engine.start()
+            store = engine.graph_store
+            # computed, then the memory hit of the same key, then disk
+            await engine.submit(req(1))
+            assert (await engine.submit(req(1))).cache_tier == "memory"
+            assert (await engine.submit(req(100))).cache_tier == "disk"
+            # coalesced follower
+            gate.clear()
+            leader = asyncio.ensure_future(engine.submit(req(2)))
+            await asyncio.sleep(0)
+            follower = asyncio.ensure_future(engine.submit(req(2)))
+            await asyncio.sleep(0.05)
+            gate.set()
+            assert not (await leader).coalesced
+            assert (await follower).coalesced
+            # incremental served, then a topology edit that falls back
+            ref = store.put(instance).ref
+            await engine.submit(SolveRequest.from_doc(
+                {"schema": "v2", "graph": {"ref": ref},
+                 "algorithm": "mis-luby", "seed": 5}, store=store))
+            v = instance.nodes[0]
+            for ops, mode in (([["set_weight", v, 50.0]], "incremental"),
+                              ([["add_node", 10**6, 1.0]], "full")):
+                delta = SolveRequest.from_doc(
+                    {"schema": "v2",
+                     "graph": {"delta": {"parent": ref, "ops": ops}},
+                     "algorithm": "mis-luby", "seed": 5}, store=store)
+                assert (await engine.submit(delta)).solve_mode == mode
+            # solver failure
+            failed = await engine.submit(req(3, params={"fail": True}))
+            assert not failed.report.ok
+            # 429 and 504: hold the dispatcher, then fill the one queue
+            # slot with a request whose deadline expires in the queue.
+            gate.clear()
+            del calls[:]
+            held = asyncio.ensure_future(engine.submit(req(10)))
+            while not calls:
+                await asyncio.sleep(0.01)
+            queued = asyncio.ensure_future(engine.submit(
+                req(11, timeout_s=0.05)))
+            await asyncio.sleep(0)
+            with pytest.raises(RequestRejected):
+                await engine.submit(req(12))
+            with pytest.raises(DeadlineExceeded):
+                await queued
+            gate.set()
+            await held
+            await engine.drain()
+            snapshot = engine.metrics_snapshot()
+            await engine.aclose()
+            return snapshot
+
+        snap = asyncio.run(scenario())
+        assert {key: snap[key] for key in FLAT_COUNTERS} == {
+            "requests": 10, "completed": 10, "failed": 1, "rejected": 1,
+            "coalesced": 1, "cache_hits": 1, "memory_cache_hits": 1,
+            "executed": 7, "timeouts": 1, "batches": 8,
+            "incremental_served": 1, "incremental_fallback": 1,
+        }
+        assert {stage: entry["count"]
+                for stage, entry in snap["stages"].items()} == {
+            "cache_lookup": 9, "coalesce_wait": 1, "graph_attach": 1,
+            "incremental": 1, "queue_wait": 8, "solve": 8,
+        }
+
+
+class TestJsonReadsTheRegistry:
+    def test_flat_counters_equal_their_families_across_a_scrape(
+            self, instance):
+        with ServerThread(memory_cache=8) as server:
+            _, before = http(server.port, "GET", "/v1/metrics")
+            raw_http(server.port, "GET", "/v1/metrics?format=prometheus")
+            for seed in (1, 2):
+                body = SolveRequest(graph=instance, algorithm="thm2",
+                                    seed=seed, params={"eps": 0.5})
+                http(server.port, "POST", "/v1/solve",
+                     body.to_json().encode())
+            _, doc = http(server.port, "GET", "/v1/metrics")
+        families = doc["histograms"]
+        assert set(families) == set(before["histograms"])
+        tiers = {"cache_hits": "disk", "memory_cache_hits": "memory"}
+        for key in FLAT_COUNTERS:
+            if key in tiers:
+                value = _family_total(
+                    families, "repro_service_cache_tier_hits_total",
+                    tier=tiers[key])
+            else:
+                value = _family_total(families,
+                                      f"repro_service_{key}_total")
+            assert doc[key] == value, key
+        assert doc["requests"] == doc["completed"] == 2
