@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint bench bench-smoke bench-perf bench-columnar backend-equivalence http-wire service-smoke fleet-smoke fleet-saturation graphplane-smoke delta-smoke slo-check experiments examples coverage clean
+.PHONY: install test lint bench bench-smoke bench-perf bench-columnar backend-equivalence http-wire service-smoke fleet-smoke graphplane-smoke delta-smoke slo-check experiments examples coverage clean
 
 install:
 	pip install -e .
@@ -115,15 +115,6 @@ graphplane-smoke:
 delta-smoke: export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 delta-smoke:
 	$(PYTHON) benchmarks/delta_smoke.py --keep-bench
-
-# Full saturation sweep (minutes, not for CI): open-loop rate ladder
-# against 1/2/4-worker fleets, knee detection per worker count, writes
-# BENCH_fleet.json.  Rebaseline on the reference machine with:
-#   python -m repro loadgen --saturation --workers-list 1,2,4
-fleet-saturation: export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
-fleet-saturation:
-	$(PYTHON) -m repro loadgen --saturation --workers-list 1,2,4 \
-		--arrival poisson --arrival-seed 0 --duration 3
 
 # Tail-latency SLO gate: evaluate benchmarks/slo_spec.json against the
 # committed BENCH_service.json baseline (fails if the spec was tightened

@@ -4,8 +4,10 @@ End-to-end exercise of the sharded solver fleet through the real CLI,
 the way CI runs it:
 
 1. start ``repro fleet`` (router + 2 worker subprocesses) on an
-   ephemeral port (parsed from its startup banner) with a fresh shared
-   disk cache;
+   ephemeral port (parsed from its startup banner by
+   :class:`~repro.service.fleet.supervisor.ServiceProcess`, the launcher
+   the fleet starts its own workers with) with a fresh shared disk
+   cache;
 2. check ``GET /v1/ready`` (all shards warm) and ``GET /v1/health``
    (both workers alive, worker_id/backend in each payload);
 3. **coalescing survives sharding**: fire concurrent duplicate requests
@@ -23,8 +25,8 @@ the way CI runs it:
 All scratch state (worker caches, logs, the benchmark document) lives
 in a temporary directory removed in a ``finally`` block.  The benchmark
 document is copied to ``bench_fleet_current.json`` in the working
-directory only when ``--keep-bench`` is passed (CI uploads it as an
-artifact next to the committed ``BENCH_fleet.json`` saturation sweep).
+directory only when ``--keep-bench`` is passed (CI uploads it as the
+open-loop artifact).
 
 Run as ``python benchmarks/fleet_smoke.py`` (the Makefile sets
 ``PYTHONPATH=src``); exits non-zero with diagnostics on any violation.
@@ -36,41 +38,13 @@ import argparse
 import concurrent.futures
 import json
 import os
-import re
 import shutil
-import signal
 import subprocess
 import sys
 import tempfile
-import time
 
+from repro.service.fleet.supervisor import ServiceProcess
 from repro.service.http import fetch
-
-BANNER = re.compile(r"repro-fleet listening on http://([0-9.]+):(\d+)")
-
-
-def _start_fleet(scratch: str, workers: int):
-    log_path = os.path.join(scratch, "fleet.log")
-    log = open(log_path, "w", encoding="utf-8")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "fleet", "--port", "0",
-         "--workers", str(workers),
-         "--cache", os.path.join(scratch, "cache"),
-         "--scratch", os.path.join(scratch, "fleet")],
-        stdout=log, stderr=subprocess.STDOUT,
-    )
-    deadline = time.monotonic() + 60.0
-    while time.monotonic() < deadline:
-        with open(log_path, encoding="utf-8") as fh:
-            match = BANNER.search(fh.read())
-        if match:
-            return proc, log, log_path, match.group(1), int(match.group(2))
-        if proc.poll() is not None:
-            break
-        time.sleep(0.1)
-    log.close()
-    with open(log_path, encoding="utf-8") as fh:
-        raise AssertionError(f"fleet did not start:\n{fh.read()}")
 
 
 def _request_bodies(unique: int) -> list:
@@ -139,9 +113,14 @@ def main() -> int:
     args = parser.parse_args()
 
     scratch = tempfile.mkdtemp(prefix="fleet-smoke-")
-    proc = log = None
+    fleet = None
     try:
-        proc, log, log_path, host, port = _start_fleet(scratch, args.workers)
+        fleet = ServiceProcess(
+            ["fleet", "--port", "0", "--workers", str(args.workers),
+             "--cache", os.path.join(scratch, "cache"),
+             "--scratch", os.path.join(scratch, "fleet")],
+            os.path.join(scratch, "fleet.log"))
+        host, port = fleet.host, fleet.port
 
         status, doc = fetch(host, port, "GET", "/v1/ready")
         assert status == 200 and doc["status"] == "ready", (status, doc)
@@ -176,10 +155,9 @@ def main() -> int:
         assert bench["completed"] > 0, bench
         assert bench["divergent_reports"] == 0, bench
 
-        proc.send_signal(signal.SIGTERM)
-        rc = proc.wait(timeout=60.0)
-        log.close()
-        log_text = open(log_path, encoding="utf-8").read()
+        fleet.stop()
+        rc = fleet.proc.wait(timeout=60.0)
+        log_text = fleet.log()
         assert rc == 0, f"fleet exit {rc}:\n{log_text}"
         assert "repro-fleet drained" in log_text, log_text
 
@@ -195,11 +173,8 @@ def main() -> int:
               f"{bench['goodput_ratio']:.2f}, drain clean")
         return 0
     finally:
-        if proc is not None and proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=10.0)
-        if log is not None and not log.closed:
-            log.close()
+        if fleet is not None:
+            fleet.kill()
         shutil.rmtree(scratch, ignore_errors=True)
 
 

@@ -43,42 +43,23 @@ import glob
 import json
 import os
 import platform
-import re
 import shutil
 import signal
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 
+from repro.service.fleet.supervisor import ServiceProcess
 from repro.service.http import fetch
 
-BANNER = re.compile(r"repro-serve listening on http://([0-9.]+):(\d+)")
 
-
-def _start_server(scratch: str, tag: str = "serve"):
-    log_path = os.path.join(scratch, f"{tag}.log")
-    log = open(log_path, "w", encoding="utf-8")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--workers", "2", "--memory-cache", "256",
+def _start_server(scratch: str, tag: str = "serve") -> ServiceProcess:
+    return ServiceProcess(
+        ["serve", "--port", "0", "--workers", "2", "--memory-cache", "256",
          "--cache", os.path.join(scratch, f"cache-{tag}"),
          "--graph-store", os.path.join(scratch, f"graphs-{tag}")],
-        stdout=log, stderr=subprocess.STDOUT,
-    )
-    deadline = time.monotonic() + 60.0
-    while time.monotonic() < deadline:
-        with open(log_path, encoding="utf-8") as fh:
-            match = BANNER.search(fh.read())
-        if match:
-            return proc, log, log_path, match.group(1), int(match.group(2))
-        if proc.poll() is not None:
-            break
-        time.sleep(0.1)
-    log.close()
-    with open(log_path, encoding="utf-8") as fh:
-        raise AssertionError(f"server did not start:\n{fh.read()}")
+        os.path.join(scratch, f"{tag}.log"))
 
 
 def _gone(pid: int) -> bool:
@@ -350,28 +331,22 @@ def _check_crash_reclaims_arena(scratch: str) -> bool:
     from repro.graphs import io as graph_io
 
     graph = uniform_weights(gnp(24, 0.2, seed=8), 1, 9, seed=9)
-    proc, log, log_path, host, port = _start_server(scratch, tag="crash")
+    # Ready: /v1/ready answers 200 once every pool worker has forked.
+    server = _start_server(scratch, tag="crash")
     workers: list = []
     try:
-        status, reg = fetch(host, port, "POST", "/v1/graphs",
+        status, reg = fetch(server.host, server.port, "POST", "/v1/graphs",
                             graph_io.to_bytes(graph))
         assert status == 200, (status, reg)
         seg = _shm_path(graph.fingerprint())
         assert os.path.exists(seg), f"no arena segment exported at {seg}"
         if track_workers:
-            # /v1/ready answers 200 once every pool worker has forked.
-            deadline = time.monotonic() + 60.0
-            while fetch(host, port, "GET", "/v1/ready")[0] != 200:
-                assert time.monotonic() < deadline, "server never ready"
-                time.sleep(0.1)
-            workers = _pool_workers(proc.pid)
+            workers = _pool_workers(server.proc.pid)
             assert len(workers) == 2, (
                 f"expected 2 pool workers, found {workers}; server log:\n"
-                + open(log_path, encoding="utf-8").read())
+                + server.log())
     finally:
-        proc.kill()
-        proc.wait(timeout=10.0)
-        log.close()
+        server.kill()
     for pid in workers:
         with contextlib.suppress(ProcessLookupError):
             os.kill(pid, signal.SIGTERM)
@@ -383,8 +358,7 @@ def _check_crash_reclaims_arena(scratch: str) -> bool:
                     os.kill(pid, signal.SIGKILL)
             raise AssertionError(
                 f"pool workers {workers} of the SIGKILLed server outlived "
-                f"SIGTERM by 5 s; server log:\n"
-                + open(log_path, encoding="utf-8").read())
+                f"SIGTERM by 5 s; server log:\n" + server.log())
         time.sleep(0.1)
     if workers:
         print("crash reclaim: the SIGKILLed server's pool workers exited "
@@ -397,8 +371,7 @@ def _check_crash_reclaims_arena(scratch: str) -> bool:
         time.sleep(0.2)
     raise AssertionError(
         f"arena segment {seg} leaked after SIGKILL (resource tracker "
-        f"did not reclaim it); server log:\n"
-        + open(log_path, encoding="utf-8").read())
+        f"did not reclaim it); server log:\n" + server.log())
 
 
 def main() -> int:
@@ -416,9 +389,10 @@ def main() -> int:
     cells = [int(x) for x in args.cells.split(",") if x]
 
     scratch = tempfile.mkdtemp(prefix="graphplane-smoke-")
-    proc = log = None
+    server = None
     try:
-        proc, log, log_path, host, port = _start_server(scratch)
+        server = _start_server(scratch)
+        host, port = server.host, server.port
 
         status, doc = fetch(host, port, "GET", "/v1/health")
         assert status == 200 and doc["status"] == "ok", (status, doc)
@@ -448,10 +422,9 @@ def main() -> int:
             f"path on the {gate['n']}-node cell "
             f"(required {args.min_speedup:.1f}x): {gate}")
 
-        proc.send_signal(signal.SIGTERM)
-        rc = proc.wait(timeout=60.0)
-        log.close()
-        log_text = open(log_path, encoding="utf-8").read()
+        server.stop()
+        rc = server.proc.wait(timeout=60.0)
+        log_text = server.log()
         assert rc == 0, f"server exit {rc}:\n{log_text}"
         assert "repro-serve drained" in log_text, log_text
         if os.path.isdir("/dev/shm"):
@@ -498,11 +471,8 @@ def main() -> int:
               f"repeat speedup, drain clean", flush=True)
         return 0
     finally:
-        if proc is not None and proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=10.0)
-        if log is not None and not log.closed:
-            log.close()
+        if server is not None:
+            server.kill()
         shutil.rmtree(scratch, ignore_errors=True)
 
 

@@ -27,39 +27,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import shutil
-import signal
 import subprocess
 import sys
 import tempfile
-import time
 
+from repro.service.fleet.supervisor import ServiceProcess
 from repro.service.http import fetch
-
-BANNER = re.compile(r"listening on http://([0-9.]+):(\d+)")
-
-
-def _start_server(scratch: str):
-    log_path = os.path.join(scratch, "serve.log")
-    log = open(log_path, "w", encoding="utf-8")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--workers", "2", "--cache", os.path.join(scratch, "cache")],
-        stdout=log, stderr=subprocess.STDOUT,
-    )
-    deadline = time.monotonic() + 30.0
-    while time.monotonic() < deadline:
-        with open(log_path, encoding="utf-8") as fh:
-            match = BANNER.search(fh.read())
-        if match:
-            return proc, log, log_path, match.group(1), int(match.group(2))
-        if proc.poll() is not None:
-            break
-        time.sleep(0.1)
-    log.close()
-    with open(log_path, encoding="utf-8") as fh:
-        raise AssertionError(f"server did not start:\n{fh.read()}")
 
 
 def _check_byte_identity(host: str, port: int) -> None:
@@ -91,9 +65,13 @@ def main() -> int:
     args = parser.parse_args()
 
     scratch = tempfile.mkdtemp(prefix="service-smoke-")
-    proc = log = None
+    server = None
     try:
-        proc, log, log_path, host, port = _start_server(scratch)
+        server = ServiceProcess(
+            ["serve", "--port", "0", "--workers", "2",
+             "--cache", os.path.join(scratch, "cache")],
+            os.path.join(scratch, "serve.log"))
+        host, port = server.host, server.port
 
         status, doc = fetch(host, port, "GET", "/v1/health")
         assert status == 200 and doc["status"] == "ok", (status, doc)
@@ -121,10 +99,9 @@ def main() -> int:
         v = bench["verification"]
         assert v["verified"] == bench["unique_reports"] > 0, v
 
-        proc.send_signal(signal.SIGTERM)
-        rc = proc.wait(timeout=30.0)
-        log.close()
-        log_text = open(log_path, encoding="utf-8").read()
+        server.stop()
+        rc = server.proc.wait(timeout=30.0)
+        log_text = server.log()
         assert rc == 0, f"server exit {rc}:\n{log_text}"
         assert "drained" in log_text, log_text
 
@@ -138,11 +115,8 @@ def main() -> int:
               f"drain clean")
         return 0
     finally:
-        if proc is not None and proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=10.0)
-        if log is not None and not log.closed:
-            log.close()
+        if server is not None:
+            server.kill()
         shutil.rmtree(scratch, ignore_errors=True)
 
 

@@ -24,41 +24,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import shutil
-import signal
-import subprocess
 import sys
 import tempfile
-import time
-
-BANNER = re.compile(r"listening on http://([0-9.]+):(\d+)")
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 DEFAULT_SPEC = os.path.join(_HERE, "slo_spec.json")
 DEFAULT_BASELINE = os.path.join(os.path.dirname(_HERE), "BENCH_service.json")
-
-
-def _start_server(scratch: str):
-    log_path = os.path.join(scratch, "serve.log")
-    log = open(log_path, "w", encoding="utf-8")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--workers", "2", "--cache", os.path.join(scratch, "cache")],
-        stdout=log, stderr=subprocess.STDOUT,
-    )
-    deadline = time.monotonic() + 30.0
-    while time.monotonic() < deadline:
-        with open(log_path, encoding="utf-8") as fh:
-            match = BANNER.search(fh.read())
-        if match:
-            return proc, log, log_path, match.group(1), int(match.group(2))
-        if proc.poll() is not None:
-            break
-        time.sleep(0.1)
-    log.close()
-    with open(log_path, encoding="utf-8") as fh:
-        raise AssertionError(f"server did not start:\n{fh.read()}")
 
 
 def _offline_gate(spec, baseline_path: str) -> bool:
@@ -78,21 +50,24 @@ def _live_gate(spec, *, clients: int, duration_s: float,
                report_path: str) -> bool:
     """Fresh loadgen burst against a just-started server."""
     from repro.service import run_loadgen
+    from repro.service.fleet.supervisor import ServiceProcess
 
     scratch = tempfile.mkdtemp(prefix="slo-check-")
-    proc = log = None
+    server = None
     try:
-        proc, log, log_path, host, port = _start_server(scratch)
+        server = ServiceProcess(
+            ["serve", "--port", "0", "--workers", "2",
+             "--cache", os.path.join(scratch, "cache")],
+            os.path.join(scratch, "serve.log"))
         doc = run_loadgen(
-            host=host, port=port, clients=clients, duration_s=duration_s,
-            out_path=report_path, verify=False, slo=spec,
+            host=server.host, port=server.port, clients=clients,
+            duration_s=duration_s, out_path=report_path, verify=False,
+            slo=spec,
         )
-        proc.send_signal(signal.SIGTERM)
-        rc = proc.wait(timeout=30.0)
-        log.close()
+        server.stop()
+        rc = server.proc.wait(timeout=30.0)
         if rc != 0:
-            with open(log_path, encoding="utf-8") as fh:
-                print(f"server exit {rc}:\n{fh.read()}")
+            print(f"server exit {rc}:\n{server.log()}")
             return False
 
         from repro.service.slo import SLOCheck, SLOReport
@@ -117,11 +92,8 @@ def _live_gate(spec, *, clients: int, duration_s: float,
             return False
         return verdicts.holds
     finally:
-        if proc is not None and proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=10.0)
-        if log is not None and not log.closed:
-            log.close()
+        if server is not None:
+            server.kill()
         shutil.rmtree(scratch, ignore_errors=True)
 
 

@@ -16,7 +16,6 @@ Subcommands::
     python -m repro fleet --port 8009 --workers 4 --cache .fleet-cache
     python -m repro loadgen --port 8008 --clients 8 --duration 5
     python -m repro loadgen --arrival poisson --rate 100 --arrival-seed 7
-    python -m repro loadgen --saturation --workers-list 1,2,4
     python -m repro loadgen --graph-ref --clients 8 --duration 5
 
 Graph specs: ``gnp:n,p`` | ``regular:n,d`` | ``tree:n`` | ``grid:r,c`` |
@@ -590,10 +589,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    """Benchmark a service: closed loop (default), open loop, or the
-    fleet saturation sweep."""
-    if args.saturation:
-        return _cmd_loadgen_saturation(args)
+    """Benchmark a service: closed loop (default), open loop, or churn."""
     if args.churn:
         return _cmd_loadgen_churn(args)
     if args.arrival != "closed":
@@ -731,47 +727,6 @@ def _cmd_loadgen_churn(args: argparse.Namespace) -> int:
     if out:
         print(f"wrote {out}")
     return 1 if doc["failed"] else 0
-
-
-def _cmd_loadgen_saturation(args: argparse.Namespace) -> int:
-    """Saturation sweep: boots its own fleets, writes BENCH_fleet.json."""
-    from repro.service.fleet import saturation_sweep
-
-    try:
-        workers = tuple(int(x) for x in args.workers_list.split(",") if x)
-        rates = tuple(float(x) for x in args.rates.split(",") if x)
-    except ValueError as exc:
-        raise SystemExit(f"bad --workers-list/--rates: {exc}")
-    arrival = args.arrival if args.arrival != "closed" else "poisson"
-    # The loadgen default --out targets the closed-loop document; the
-    # sweep has its own committed artifact name.
-    out = args.out if args.out != "BENCH_service.json" else "BENCH_fleet.json"
-    try:
-        doc = saturation_sweep(
-            worker_counts=workers,
-            rates=rates,
-            duration_s=args.duration,
-            arrival=arrival,
-            arrival_seed=args.arrival_seed,
-            burst_size=args.burst_size,
-            out_path=out or "BENCH_fleet.json",
-        )
-    except (ValueError, RuntimeError) as exc:
-        raise SystemExit(str(exc))
-    for workers_n, knee in sorted(doc["knee_by_workers"].items(),
-                                  key=lambda kv: int(kv[0])):
-        if knee:
-            print(f"workers={workers_n}: knee {knee['achieved_rps']:.1f} "
-                  f"req/s achieved at {knee['offered_rps']:.1f} offered "
-                  f"(p99 {knee['p99_s'] * 1e3:.1f} ms)")
-        else:
-            print(f"workers={workers_n}: no rung kept up")
-    if doc["speedup_4v1"] is not None:
-        print(f"4-worker vs 1-worker knee throughput: "
-              f"{doc['speedup_4v1']:.2f}x "
-              f"(host has {doc['host']['cpu_count']} CPUs)")
-    print(f"wrote {out or 'BENCH_fleet.json'}")
-    return 0
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -1063,16 +1018,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="algorithm for --churn solves (weight-"
                              "oblivious MIS algorithms can be served "
                              "incrementally)")
-    p_load.add_argument("--saturation", action="store_true",
-                        help="saturation sweep: boot fleets for "
-                             "--workers-list, walk --rates per fleet, find "
-                             "the throughput/latency knee, write "
-                             "BENCH_fleet.json (ignores --host/--port)")
-    p_load.add_argument("--workers-list", default="1,2,4", metavar="N,N,...",
-                        help="worker counts for --saturation")
-    p_load.add_argument("--rates", default="25,50,100,200,400",
-                        metavar="R,R,...",
-                        help="offered-load ladder for --saturation")
     p_load.set_defaults(func=_cmd_loadgen)
 
     p_info = sub.add_parser("info", help="describe an instance")

@@ -22,9 +22,9 @@ Layers:
   reservoir behind ``/v1/metrics`` (JSON + Prometheus).
 * :mod:`repro.service.slo` — declarative service-level objectives and
   the verdict machinery ``make slo-check`` gates CI on.
-* :mod:`repro.service.fleet` — the sharded multi-worker fleet: router,
-  worker supervisor, two-tier cache, metric aggregation, and the
-  open-loop saturation sweep (``repro fleet``).
+* :mod:`repro.service.fleet` — the sharded multi-worker fleet
+  (``repro fleet``): router, the one worker pool and its subprocess
+  launcher, two-tier cache, and metric aggregation.
 """
 
 from repro.service.engine import (

@@ -10,17 +10,16 @@ Layers:
 
 * :mod:`repro.service.fleet.routing` — deterministic sha256 shard
   assignment (never Python ``hash()``).
-* :mod:`repro.service.fleet.supervisor` — worker lifecycle: spawn,
-  readiness checks, restart-on-crash, graceful drain.
+* :mod:`repro.service.fleet.supervisor` — the one worker pool (start,
+  replace dead or marked workers, drain) over two launchers: a
+  ``repro serve`` subprocess (also what the smoke scripts start servers
+  with) or a :class:`~repro.service.http.BackgroundServer` thread.
 * :mod:`repro.service.fleet.router` — the asyncio HTTP router
-  (``repro fleet``) with fleet-wide metric aggregation: a route table
-  over :mod:`repro.service.http` (the codec and keep-alive client it
-  shares with the worker server).
+  (``repro fleet``, or :func:`start_fleet` in-process) with fleet-wide
+  metric aggregation: a route table over :mod:`repro.service.http` (the
+  codec and keep-alive client it shares with the worker server).
 * :mod:`repro.service.fleet.aggregate` — merging per-worker
   ``/v1/metrics`` snapshots into one fleet document (JSON + Prometheus).
-* :mod:`repro.service.fleet.saturation` — the open-loop saturation
-  sweep that finds the throughput/latency knee per worker count and
-  writes ``BENCH_fleet.json``.
 
 The first tier of the two-tier (memory → disk) result cache is the
 engine's :mod:`repro.service.cache` LRU, which the router also uses for
@@ -29,20 +28,19 @@ package.
 """
 
 from repro.service.fleet.aggregate import aggregate_snapshots, render_fleet_prometheus
-from repro.service.fleet.router import FleetRouter, run_fleet
+from repro.service.fleet.router import FleetRouter, run_fleet, start_fleet
 from repro.service.fleet.routing import routing_key, shard_for_key, shard_for_request
-from repro.service.fleet.saturation import saturation_sweep
-from repro.service.fleet.supervisor import FleetSupervisor, ThreadedFleet
+from repro.service.fleet.supervisor import FleetSupervisor, ServiceProcess
 
 __all__ = [
     "FleetRouter",
     "FleetSupervisor",
-    "ThreadedFleet",
+    "ServiceProcess",
     "aggregate_snapshots",
     "render_fleet_prometheus",
     "routing_key",
     "run_fleet",
-    "saturation_sweep",
     "shard_for_key",
     "shard_for_request",
+    "start_fleet",
 ]

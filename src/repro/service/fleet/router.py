@@ -30,8 +30,8 @@ its in-process attach state.
 Failover: if the owning worker is down, the request walks to the next
 alive worker (placement degrades for exactly the keys owned by the dead
 shard, correctness never does — any worker can solve any request).  A
-background reaper notices dead workers and asks the supervisor to
-restart them.
+worker the router cannot reach is marked dead; a background reaper asks
+the supervisor to replace every dead or marked worker once a second.
 
 ``GET /v1/metrics`` scrapes every worker and serves the merged fleet
 document (:mod:`repro.service.fleet.aggregate`); ``?format=prometheus``
@@ -67,6 +67,7 @@ from repro.service.fleet.routing import shard_for_key
 from repro.service.fleet.supervisor import FleetSupervisor
 from repro.service.http import (
     JSON_CONTENT_TYPE,
+    BackgroundServer,
     Call,
     HttpClient,
     HttpServer,
@@ -78,7 +79,7 @@ from repro.service.server import (
     v1_routes,
 )
 
-__all__ = ["FleetRouter", "run_fleet"]
+__all__ = ["FleetRouter", "run_fleet", "start_fleet"]
 
 # Worker-side request timeout the router enforces on proxied calls
 # (workers enforce per-request deadlines themselves; this is the
@@ -124,22 +125,26 @@ class FleetRouter(HttpServer):
             self._reap_loop())
         return port
 
-    async def shutdown(self, *, drain_workers: bool = True) -> None:
+    async def shutdown(self) -> None:
         """Stop admitting, drain the workers, close every connection."""
         self._draining = True
-        if self._reaper is not None:
-            self._reaper.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._reaper
-        self._stop_listening()
-        # Parked keep-alive connections are closed before the workers
-        # drain, so a draining worker has no idle router connection to
-        # wait out; the second pass closes the ones requests finishing
-        # during the drain handed back.
-        await self._close_clients()
-        if drain_workers:
-            loop = asyncio.get_running_loop()
+        loop = asyncio.get_running_loop()
+        try:
+            if self._reaper is not None:
+                self._reaper.cancel()
+                with contextlib.suppress(asyncio.CancelledError):
+                    await self._reaper
+            self._stop_listening()
+            # Parked keep-alive connections are closed before the
+            # workers drain, so a draining worker has no idle router
+            # connection to wait out; the second pass closes the ones
+            # requests finishing during the drain handed back.
+            await self._close_clients()
             await loop.run_in_executor(None, self.supervisor.drain)
+        finally:
+            # A no-op after a clean drain; otherwise no worker outlives
+            # the router.
+            await loop.run_in_executor(None, self.supervisor.stop)
         await self._close_connections()
         await self._close_clients()
 
@@ -148,9 +153,9 @@ class FleetRouter(HttpServer):
             await client.close()
 
     async def _reap_loop(self) -> None:
-        """Restart crashed workers in the background (supervisor.check
-        is blocking — subprocess wait + readiness poll — so it runs in
-        the default executor, never on the event loop)."""
+        """Replace crashed and marked-dead workers in the background
+        (supervisor.check is blocking — kill, respawn, readiness poll —
+        so it runs in the default executor, never on the event loop)."""
         loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(REAP_INTERVAL_S)
@@ -433,36 +438,21 @@ class _OversizedGraph(Exception):
     """Raised inside shard-key computation for a 413 at the router."""
 
 
-def run_fleet(
-    *,
-    host: str = "127.0.0.1",
-    port: int = 8009,
-    workers: int = 2,
-    cache_dir: Optional[str] = None,
-    memory_cache: int = 256,
-    max_queue: int = 64,
-    max_batch: int = 8,
-    backend: str = "per-node",
-    scratch_dir: str = ".fleet",
-    graph_store: Optional[str] = None,
-    banner: bool = True,
-) -> int:
+def run_fleet(*, port: int = 8009, banner: bool = True,
+              **pool: Any) -> int:
     """Blocking entry point of ``repro fleet``.
 
-    Spawns ``workers`` solver subprocesses sharing ``cache_dir`` (tier
-    2), each with a ``memory_cache``-sized LRU (tier 1) and one shared
-    content-addressed graph store (``graph_store``, defaulting to
-    ``<scratch_dir>/graphs``), then routes ``/v1/*`` traffic across
-    them until SIGTERM/SIGINT, then drains.
+    Starts a :class:`~repro.service.fleet.supervisor.FleetSupervisor`
+    built from the ``pool`` keywords (``workers`` ``repro serve``
+    subprocesses sharing ``cache_dir`` as tier 2 and one
+    content-addressed graph store, each with a ``memory_cache``-sized
+    LRU as tier 1), then routes ``/v1/*`` traffic across them on
+    ``host:port`` until SIGTERM/SIGINT, then drains.
     """
-    supervisor = FleetSupervisor(
-        workers=workers, cache_dir=cache_dir, memory_cache=memory_cache,
-        max_queue=max_queue, max_batch=max_batch, backend=backend,
-        scratch_dir=scratch_dir, graph_store=graph_store, host=host,
-    )
+    supervisor = FleetSupervisor(**pool)
     supervisor.start()
-    router = FleetRouter(supervisor, host=host, port=port)
     try:
+        router = FleetRouter(supervisor, host=supervisor.host, port=port)
         asyncio.run(router.run_until_signal(
             name="repro-fleet",
             detail=f"{router.shards} workers, schema {SCHEMA_VERSION}",
@@ -470,3 +460,25 @@ def run_fleet(
     finally:
         supervisor.stop()
     return 0
+
+
+def start_fleet(**pool: Any) -> BackgroundServer:
+    """Start a pool and its router in this process, for blocking callers
+    (the tests) that drive the fleet over real sockets.
+
+    ``pool`` holds the keywords of
+    :class:`~repro.service.fleet.supervisor.FleetSupervisor`
+    (``threaded`` and ``registry`` pick its launcher).  The router runs
+    on :class:`~repro.service.http.BackgroundServer` (``fleet.server``
+    is the :class:`FleetRouter`, ``fleet.port`` its port);
+    ``fleet.close()`` shuts it down, which drains the workers.
+    """
+    supervisor = FleetSupervisor(**pool)
+    supervisor.start()
+    try:
+        return BackgroundServer(
+            FleetRouter(supervisor, host=supervisor.host, port=0),
+            name="fleet-router")
+    except BaseException:
+        supervisor.stop()
+        raise

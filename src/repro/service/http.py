@@ -7,9 +7,12 @@ with a :class:`RouteTable`; in-package clients use :class:`HttpClient`
 a malformed request or header line, a ``Content-Length`` that is not a
 non-negative integer, a body cut short, too many or too long lines —
 raises :class:`HttpError`: a taxonomy 400 (413 for an oversized body),
-then the connection closes.  ``GET`` routes answer ``HEAD`` with
-headers only; unknown paths are 404, known paths with a missing method
-405 with a derived ``Allow``.
+then a lingering close: the server half-closes and discards what the
+client is still sending, so the client reads the error instead of a
+reset.  ``GET`` routes answer ``HEAD`` with headers only; unknown paths
+are 404, known paths with a missing method 405 with a derived
+``Allow``.  :class:`BackgroundServer` runs any :class:`HttpServer` on
+its own event loop in a daemon thread, for blocking callers.
 """
 
 from __future__ import annotations
@@ -20,19 +23,22 @@ import json
 import logging
 import re
 import signal
+import threading
 from typing import (Any, Awaitable, Callable, Dict, List, NamedTuple,
                     Optional, Tuple, Union)
 
 from repro.service.errors import HTTP_REASONS, error_doc, pop_headers
 
-__all__ = ["HttpClient", "HttpError", "HttpServer", "RouteTable", "fetch",
-           "read_request", "write_response"]
+__all__ = ["BackgroundServer", "HttpClient", "HttpError", "HttpServer",
+           "RouteTable", "fetch", "read_request", "write_response"]
 
 MAX_BODY_BYTES = 32 * 1024 * 1024
 MAX_HEADER_LINES = 100
 MAX_LINE_BYTES = 64 * 1024  # the stream limit of every reader made here
 POOL_SIZE = 64  # idle connections an HttpClient keeps for reuse
 CLIENT_TIMEOUT_S = 300.0  # HttpClient.request's default per-call timeout
+LINGER_S = 5.0  # how long a refused request's unread input is discarded
+THREAD_TIMEOUT_S = 120.0  # bound on a BackgroundServer's start and stop
 JSON_CONTENT_TYPE = "application/json"
 
 Payload = Union[Dict[str, Any], str, bytes]
@@ -218,6 +224,24 @@ class RouteTable:
 # serving
 # --------------------------------------------------------------------- #
 
+async def _linger(reader: asyncio.StreamReader,
+                  writer: asyncio.StreamWriter) -> None:
+    """Half-close, then discard input until EOF or :data:`LINGER_S`:
+    closing with unread bytes queued would reset the connection before
+    a client that is still sending reads the reply."""
+    try:
+        if writer.can_write_eof():
+            writer.write_eof()
+
+        async def discard() -> None:
+            while await reader.read(MAX_LINE_BYTES):
+                pass
+
+        await asyncio.wait_for(discard(), LINGER_S)
+    except (OSError, asyncio.TimeoutError):
+        pass
+
+
 class HttpServer:
     """One listening socket answering requests through ``self.routes``;
     subclasses set ``routes`` and define ``shutdown()``.
@@ -281,6 +305,7 @@ class HttpServer:
                     _status, doc = error_doc(exc.status, str(exc))
                     await self._write_response(writer, exc.status, doc,
                                                JSON_CONTENT_TYPE, close=True)
+                    await _linger(reader, writer)
                     return
                 if request is None:  # clean EOF between requests
                     return
@@ -347,6 +372,73 @@ class HttpServer:
         finally:
             for sig in installed:
                 loop.remove_signal_handler(sig)
+
+
+class BackgroundServer:
+    """Serve an :class:`HttpServer` on a fresh event loop in a daemon
+    thread, for blocking callers (tests, the in-process fleet).
+
+    The constructor returns once the server listens, or raises its
+    start-up error; :meth:`close` runs ``shutdown()`` on that loop and
+    joins the thread.
+    """
+
+    def __init__(self, server: HttpServer, *,
+                 name: str = "http-server") -> None:
+        self.server = server
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._stop: Optional[asyncio.Event] = None
+        self._error: Optional[BaseException] = None
+        listening = threading.Event()
+
+        async def serve() -> None:
+            self._loop = asyncio.get_running_loop()
+            self._stop = asyncio.Event()
+            try:
+                await server.start()
+            except BaseException as exc:  # noqa: BLE001 — raised below
+                self._error = exc
+                return
+            finally:
+                listening.set()
+            await self._stop.wait()
+            await server.shutdown()
+
+        self._thread = threading.Thread(target=lambda: asyncio.run(serve()),
+                                        daemon=True, name=name)
+        self._thread.start()
+        if not listening.wait(THREAD_TIMEOUT_S):
+            raise RuntimeError(f"{name} did not start in {THREAD_TIMEOUT_S}s")
+        if self._error is not None:
+            self._thread.join(THREAD_TIMEOUT_S)
+            raise self._error
+
+    @property
+    def port(self) -> int:
+        return self.server.port
+
+    def running(self) -> bool:
+        return self._thread.is_alive()
+
+    def stop(self) -> None:
+        """Ask the loop to run ``shutdown()``; returns at once."""
+        with contextlib.suppress(RuntimeError):  # the loop already closed
+            self._loop.call_soon_threadsafe(self._stop.set)
+
+    def join(self, timeout_s: float = THREAD_TIMEOUT_S) -> bool:
+        """Wait for the thread to end; whether it did."""
+        self._thread.join(timeout_s)
+        return not self._thread.is_alive()
+
+    def close(self) -> None:
+        """Shut the server down and join its thread; raises if the
+        thread is still running after :data:`THREAD_TIMEOUT_S`."""
+        self.stop()
+        if not self.join():
+            raise RuntimeError(f"{self._thread.name} did not stop in "
+                               f"{THREAD_TIMEOUT_S}s")
+
+    kill = close  # a thread cannot be killed; the pool's hard stop waits
 
 
 # --------------------------------------------------------------------- #

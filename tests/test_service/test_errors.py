@@ -23,7 +23,7 @@ from repro.service.errors import (
     error_doc,
     pop_headers,
 )
-from repro.service.fleet.saturation import start_fleet
+from repro.service.fleet import start_fleet
 
 from .test_server import ServerThread, http
 

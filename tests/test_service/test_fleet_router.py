@@ -1,9 +1,10 @@
 """The sharded fleet end to end: placement, coalescing, failover, drain.
 
-These tests run the real router over an in-process
-:class:`~repro.service.fleet.supervisor.ThreadedFleet` — the same HTTP
-surface as the subprocess fleet (which ``benchmarks/fleet_smoke.py``
-covers) without fork cost, so they stay in tier 1.
+These tests run the real router over in-process thread workers
+(``start_fleet(threaded=True)``) — the same HTTP surface as the
+subprocess fleet without fork cost, so they stay in tier 1.  One test
+runs the subprocess pool's restart path; ``benchmarks/fleet_smoke.py``
+covers the rest of ``repro fleet``.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from repro.service import (
     SolverEngine,
     SolverServer,
 )
-from repro.service.fleet import shard_for_request
+from repro.service.fleet import shard_for_request, start_fleet
 from repro.service.fleet.aggregate import (
     aggregate_snapshots,
     render_fleet_prometheus,
 )
-from repro.service.fleet.saturation import start_fleet
 from repro.service.http import HttpClient
 
 
@@ -298,18 +298,18 @@ class TestFailover:
     def test_request_fails_over_when_owner_dies(self, instance, tmp_path):
         fleet = start_fleet(workers=2, threaded=True,
                             cache_dir=str(tmp_path / "disk"))
-        fleet.supervisor.restart_on_crash = False
+        fleet.server.supervisor.restart_on_crash = False
         try:
             request, body = request_body(instance, seed=3)
             owner = shard_for_request(request, 2)
             status, doc = http(fleet.port, "POST", "/v1/solve", body)
             assert status == 200
             assert doc["served"]["worker_id"] == str(owner)
-            fleet.supervisor.stop_worker(str(owner))
+            fleet.server.supervisor.crash(str(owner))
             status, doc = http(fleet.port, "POST", "/v1/solve", body)
             assert status == 200, "failover must keep the key available"
             assert doc["served"]["worker_id"] == str(1 - owner)
-            assert fleet.router.stats["failovers"] >= 1
+            assert fleet.server.stats["failovers"] >= 1
         finally:
             fleet.close()
 
@@ -317,24 +317,99 @@ class TestFailover:
         fleet = start_fleet(workers=2, threaded=True,
                             cache_dir=str(tmp_path / "disk"))
         try:
-            fleet.supervisor.stop_worker("1")
-            restarted = fleet.supervisor.check()
-            assert restarted == ["1"]
-            endpoints = {e.worker_id: e for e in fleet.supervisor.endpoints()}
-            assert endpoints["1"].alive
-            assert endpoints["1"].restarts == 1
-            # The revived worker serves its shard again.
-            for seed in range(6):
-                request, body = request_body(instance, seed=seed)
-                if shard_for_request(request, 2) == 1:
-                    status, doc = http(fleet.port, "POST", "/v1/solve", body)
-                    assert status == 200
-                    assert doc["served"]["worker_id"] == "1"
-                    break
-            else:  # pragma: no cover - sha256 would have to be degenerate
-                pytest.fail("no probe key landed on shard 1")
+            supervisor = fleet.server.supervisor
+            supervisor.crash("1")
+            # The reaper may restart the worker first.  Whichever
+            # check() did the restart returned its id: this one, or the
+            # reaper's, which the router adds to stats["restarts"].
+            returned = supervisor.check()
+            wait_for(lambda: len(returned)
+                     + fleet.server.stats["restarts"] == 1,
+                     5.0, "the restart to be reported once")
+            assert returned in ([], ["1"])
+            endpoint = supervisor.endpoints()[1]
+            assert endpoint.alive
+            assert endpoint.restarts == 1
+            assert_shard_one_served_by_worker_one(fleet.port, instance)
         finally:
             fleet.close()
+
+    def test_marked_dead_worker_is_replaced(self, instance, tmp_path):
+        """A worker the router marked dead is replaced by the reaper
+        even though its thread still runs."""
+        fleet = start_fleet(workers=2, threaded=True,
+                            cache_dir=str(tmp_path / "disk"))
+        try:
+            endpoint = fleet.server.supervisor.endpoints()[1]
+            endpoint.alive = False  # what FleetRouter._request does
+            wait_for(lambda: endpoint.alive and endpoint.restarts == 1,
+                     10.0, "the marked worker to be replaced")
+            wait_for(lambda: fleet.server.stats["restarts"] == 1,
+                     5.0, "the router to count the restart")
+            assert_shard_one_served_by_worker_one(fleet.port, instance)
+        finally:
+            fleet.close()
+
+    def test_subprocess_worker_respawns(self, instance, tmp_path):
+        """The production restart path: a SIGKILLed ``repro serve``
+        worker comes back on a new port, and the router follows it."""
+        scratch = tmp_path / "fleet"
+        fleet = start_fleet(workers=2, scratch_dir=str(scratch),
+                            cache_dir=str(tmp_path / "disk"))
+        supervisor = fleet.server.supervisor
+        try:
+            supervisor.crash("1")
+
+            def back():
+                status, doc = http(fleet.port, "GET", "/v1/health")
+                entry = doc["workers"]["1"]
+                return entry["alive"] and entry["restarts"] == 1
+
+            wait_for(back, 60.0, "the reaper to respawn worker 1")
+            wait_for(lambda: fleet.server.stats["restarts"] == 1,
+                     5.0, "the router to count the restart")
+            assert_shard_one_served_by_worker_one(fleet.port, instance)
+        finally:
+            fleet.close()
+        assert not any(w.running() for w in supervisor._workers)
+        for index in (0, 1):
+            log = (scratch / f"worker-{index}.log").read_text()
+            assert log.count("repro-serve drained") == 1, log
+
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_close_stops_workers_when_drain_fails(self, tmp_path):
+        """The router's shutdown hard-stops the pool even when the
+        graceful drain raises; the error ends the router's thread."""
+        fleet = start_fleet(workers=2, threaded=True,
+                            cache_dir=str(tmp_path / "disk"))
+        supervisor = fleet.server.supervisor
+
+        def failing_drain():
+            raise RuntimeError("drain failed")
+
+        supervisor.drain = failing_drain
+        fleet.close()
+        assert not any(w.running() for w in supervisor._workers)
+
+
+def wait_for(predicate, timeout_s, what):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            pytest.fail(f"timed out after {timeout_s}s waiting for {what}")
+        time.sleep(0.05)
+
+
+def assert_shard_one_served_by_worker_one(port, instance):
+    for seed in range(6):
+        request, body = request_body(instance, seed=seed)
+        if shard_for_request(request, 2) == 1:
+            status, doc = http(port, "POST", "/v1/solve", body)
+            assert status == 200
+            assert doc["served"]["worker_id"] == "1"
+            return
+    pytest.fail("no probe key landed on shard 1")  # pragma: no cover
 
 
 class TestRouterEdges:
@@ -344,7 +419,7 @@ class TestRouterEdges:
             status, doc = http(fleet.port, "POST", "/v1/solve", b"{nope")
             assert status == 400
             assert doc["error"]["code"] == "bad_request"
-            assert fleet.router.stats["body_routed"] >= 1
+            assert fleet.server.stats["body_routed"] >= 1
         finally:
             fleet.close()
 
@@ -367,7 +442,7 @@ class TestRouterEdges:
             _, body = request_body(instance)
             for _ in range(3):
                 http(fleet.port, "POST", "/v1/solve", body)
-            stats = dict(fleet.router.stats)
+            stats = dict(fleet.server.stats)
         finally:
             fleet.close()
         assert stats["parse_routed"] == 1
@@ -507,7 +582,7 @@ class TestGraphPlane:
             # Ref and body forms of the same request share the shard.
             assert (env1["served"]["worker_id"]
                     == env2["served"]["worker_id"])
-            assert fleet.router.stats["ref_routed"] >= 1
+            assert fleet.server.stats["ref_routed"] >= 1
         finally:
             fleet.close()
 
@@ -555,7 +630,7 @@ class TestGraphPlane:
                              json.dumps(doc).encode())
             assert status == 404
             # The bad ref still routed by its ref (no body-hash fallback).
-            assert fleet.router.stats["ref_routed"] >= 1
-            assert fleet.router.stats["body_routed"] == 0
+            assert fleet.server.stats["ref_routed"] >= 1
+            assert fleet.server.stats["body_routed"] == 0
         finally:
             fleet.close()

@@ -5,7 +5,8 @@ Every case runs over a raw socket against the single server
 workers (``start_fleet(threaded=True)``), each exchange under a socket
 timeout.  Both doors must answer every input with a well-formed reply
 that is either the route's normal answer or a taxonomy error, close the
-connection after a 400 or 413, send no body on ``HEAD``, never log at
+connection after a 400 or 413 (without a reset that would cut the reply
+off a client still sending), send no body on ``HEAD``, never log at
 ERROR on the ``asyncio`` logger, and agree with each other on status,
 ``error.code`` and ``Allow``.
 
@@ -25,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.service.errors import ERROR_CODES
-from repro.service.fleet.saturation import start_fleet
+from repro.service.fleet import start_fleet
 
 from .test_server import ServerThread
 
@@ -207,6 +208,18 @@ def test_bad_content_length(door, length, status):
     assert_rejected(door, data, status)
 
 
+def test_client_still_sending_reads_its_413(door):
+    """An over-limit body is refused after the headers; the door drains
+    the rest instead of resetting the connection, so a client that
+    sends its whole body before reading still gets the 413."""
+    data = http_request("POST", "/v1/solve", b"x" * (MAX_BODY_BYTES + 1))
+    with socket.create_connection(("127.0.0.1", door),
+                                  timeout=TIMEOUT_S) as sock:
+        sock.sendall(data)
+        reply = _read_reply(sock.makefile("rb"), head_only=False)
+    assert reply.signature() == (413, "payload_too_large", None), reply
+
+
 def test_header_flood_400(door):
     # 101 header lines: Host and Content-Length plus 99 more.
     flood = tuple(f"X-Flood-{i}: {i}" for i in range(99))
@@ -275,7 +288,7 @@ def test_head_sends_headers_only(doors, door, route):
     assert head.status == 200, head
     assert int(head.headers["content-length"]) > 0
     assert follow.status == 200 and json.loads(follow.body)
-    assert all(e.alive for e in fleet.supervisor.endpoints()), (
+    assert all(e.alive for e in fleet.server.supervisor.endpoints()), (
         "a HEAD through the router must not mark a worker dead")
 
 

@@ -18,10 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-import re
 import signal
-import subprocess
-import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -30,14 +27,12 @@ import pytest
 
 from repro.api import SolveRequest
 from repro.graphs import gnp, uniform_weights
+from repro.service.fleet.supervisor import ServiceProcess
 from repro.service.http import fetch
 
 pytestmark = pytest.mark.skipif(
     not list(Path("/proc/self/task").glob("*/children")),
     reason="needs /proc/<pid>/task/*/children")
-
-BANNER = re.compile(r"repro-serve listening on http://([0-9.]+):(\d+)")
-SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def wait_for(predicate, timeout_s, what, log_path):
@@ -100,32 +95,11 @@ def solve_burst(host, port, seeds, log_path):
                for status, doc in replies), (replies, log_path.read_text())
 
 
-def start_server(log_path):
-    """``repro serve --workers 2`` with a warm pool: (proc, host, port)."""
-    pythonpath = [str(SRC)] + ([os.environ["PYTHONPATH"]]
-                               if os.environ.get("PYTHONPATH") else [])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
-    with open(log_path, "w", encoding="utf-8") as log:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--workers", "2"],
-            stdout=log, stderr=subprocess.STDOUT, env=env)
-    found = []
-    wait_for(lambda: found.append(BANNER.search(log_path.read_text()))
-             or found[-1] is not None or proc.poll() is not None,
-             60.0, "the banner", log_path)
-    if found[-1] is None:
-        pytest.fail(f"server did not start:\n{log_path.read_text()}")
-    host, port = found[-1].group(1), int(found[-1].group(2))
-    wait_for(lambda: fetch(host, port, "GET", "/v1/ready",
-                           timeout_s=5.0)[0] == 200,
-             60.0, "readiness", log_path)
-    return proc, host, port
-
-
 def test_pool_workers_keep_their_signals(tmp_path):
     log_path = tmp_path / "serve.log"
-    proc, host, port = start_server(log_path)
+    server = ServiceProcess(["serve", "--port", "0", "--workers", "2"],
+                            str(log_path))
+    proc, host, port = server.proc, server.host, server.port
     known = set()
 
     def workers():

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 
 import pytest
 
 from repro.api import SCHEMA_VERSION, SolveRequest, solve
 from repro.graphs import gnp, uniform_weights
 from repro.service import SolverEngine, SolverServer, build_request_pool, run_loadgen
-from repro.service.http import HttpClient
+from repro.service.http import BackgroundServer, HttpClient
 
 
 @pytest.fixture
@@ -26,43 +25,15 @@ class ServerThread:
 
     def __init__(self, **engine_kwargs):
         self.engine_kwargs = engine_kwargs
-        self.port = None
-        self._ready = threading.Event()
-        self._stop = None
-        self._loop = None
-        self._thread = None
-        self._error = None
 
     def __enter__(self):
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        if not self._ready.wait(timeout=20.0):
-            raise RuntimeError(f"server failed to start: {self._error}")
-        if self._error is not None:
-            raise RuntimeError(f"server failed to start: {self._error}")
+        self._runner = BackgroundServer(SolverServer(
+            SolverEngine(**self.engine_kwargs), host="127.0.0.1", port=0))
+        self.port = self._runner.port
         return self
 
     def __exit__(self, *exc_info):
-        self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=20.0)
-
-    def _run(self):
-        async def main():
-            self._loop = asyncio.get_running_loop()
-            self._stop = asyncio.Event()
-            server = SolverServer(SolverEngine(**self.engine_kwargs),
-                                  host="127.0.0.1", port=0)
-            try:
-                self.port = await server.start()
-            except Exception as exc:  # pragma: no cover - startup failure
-                self._error = exc
-                self._ready.set()
-                return
-            self._ready.set()
-            await self._stop.wait()
-            await server.shutdown()
-
-        asyncio.run(main())
+        self._runner.close()
 
 
 def http(port, method, path, body=b""):
