@@ -39,10 +39,11 @@ bench-perf:
 		--baseline BENCH_runner.json --tolerance 3.0 \
 		--out bench_current.json
 
-# Columnar perf gate: one 10^5-node columnar cell gated against the
-# committed baseline at the same wide cross-machine tolerance.  Catches
-# a columnar backend that silently lost its vectorized fast path (e.g.
-# an always-on FleetFallback would be ~20x over budget).
+# Columnar perf gate: two 10^5-node columnar cells (RNG-free mis-det,
+# RNG-bound mis-luby) gated against the committed baseline at the same
+# wide cross-machine tolerance.  Catches a columnar backend that
+# silently lost its vectorized fast path (e.g. an always-on
+# FleetFallback, or per-node PCG64 streams back in the kernels).
 bench-columnar: export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 bench-columnar:
 	$(PYTHON) benchmarks/perf_gate.py --matrix columnar-tiny --repeats 2 \

@@ -122,8 +122,8 @@ _FULL_GRAPHS = ("gnp60", "gnp300", "grid300", "tree400")
 # per-node/columnar pairs on the same (graph, algorithm) are what the
 # ≥10x wall-clock criterion in ROADMAP.md is read from.  mis-det is
 # RNG-free, so its kernel shows the pure array-path speedup; mis-luby
-# adds a per-node RNG-bound cell for honesty (generator construction
-# caps those near 4-5x).
+# is the RNG-bound cell, drawing every node's stream through the
+# column (repro.simulator.randomness.NodeStreams).
 _SCALE_CELLS: Tuple[Tuple[str, str, Optional[str]], ...] = (
     ("gnp100k", "mis-det", None),
     ("gnp100k", "mis-det", "columnar"),
@@ -132,9 +132,10 @@ _SCALE_CELLS: Tuple[Tuple[str, str, Optional[str]], ...] = (
     ("gnp100k", "mis-luby", "columnar"),
 )
 
-# One cheap columnar scale cell for CI (the per-node reference at this
-# size is too slow for a smoke job).
-_COLUMNAR_TINY_CELLS = (("gnp100k", "mis-det", "columnar"),)
+# The cheap columnar scale cells for CI (the per-node reference at this
+# size is too slow for a smoke job): the array path, and the RNG path.
+_COLUMNAR_TINY_CELLS = (("gnp100k", "mis-det", "columnar"),
+                        ("gnp100k", "mis-luby", "columnar"))
 
 MATRICES = ("tiny", "full", "scale", "columnar-tiny")
 
@@ -435,7 +436,7 @@ def add_bench_arguments(parser: Any) -> None:
     parser.add_argument("--matrix", choices=list(MATRICES), default=None,
                         help="explicit cell matrix (overrides --tiny); "
                              "'scale' is the 10^5-node backend tier, "
-                             "'columnar-tiny' its one-cell CI subset")
+                             "'columnar-tiny' its two-cell CI subset")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timed repetitions per cell (best-of, after a "
                              "discarded warm-up run)")

@@ -15,7 +15,8 @@ array form so every kernel reproduces them bit for bit:
   reductions (max/min) go through ``ufunc.reduceat``.
 * **Randomness** — each node owns an independent ``PCG64`` stream spawned
   from the master seed exactly as
-  :func:`~repro.simulator.randomness.spawn_node_seeds` does; kernels make
+  :func:`~repro.simulator.randomness.spawn_node_seeds` does; kernels draw
+  through :attr:`FleetRun.streams`, one column of all N streams, making
   the *same generator calls in the same per-node order* as the node
   program, so draws are identical.
 
@@ -35,7 +36,7 @@ from repro.exceptions import RoundLimitExceeded
 from repro.simulator.metrics import RunMetrics
 from repro.simulator.models import BandwidthPolicy
 from repro.simulator.network import Network
-from repro.simulator.randomness import spawn_node_seeds
+from repro.simulator.randomness import NodeStreams, spawn_node_seeds
 from repro.simulator.runner import RunResult
 
 __all__ = [
@@ -135,10 +136,14 @@ class FleetRun:
         self.metrics = RunMetrics()
         self.halted = np.zeros(self.n, dtype=bool)
         self.round_index = 0
-        self._seed = seed
+        # One root for gen() and streams alike (a None seed draws its
+        # OS entropy once, here).
+        self._seed = (seed if isinstance(seed, np.random.SeedSequence)
+                      else np.random.SeedSequence(seed))
         self._nodes = graph.nodes
         self._seed_children: Optional[Dict[int, np.random.SeedSequence]] = None
         self._gens: List[Optional[np.random.Generator]] = [None] * self.n
+        self._streams: Optional[NodeStreams] = None
         # Scratch for the (m+1)-long prefix sums row_counts/compact
         # rebuild every round.  Safe to reuse: slot 0 is never written
         # after this zero-fill, cumsum overwrites [1:] fully each call,
@@ -149,11 +154,25 @@ class FleetRun:
     # randomness
     # ------------------------------------------------------------------ #
 
+    @property
+    def streams(self) -> NodeStreams:
+        """Every node's private stream as one column (slot ``i`` draws
+        what :meth:`gen` ``(i)`` would).  Built on the first draw, so
+        RNG-free kernels never pay for it."""
+        streams = self._streams
+        if streams is None:
+            try:
+                streams = self._streams = NodeStreams(self._seed, self.n)
+            except (OverflowError, TypeError) as exc:
+                # A seed the column does not mirror: per-node draws it.
+                raise FleetFallback(str(exc), reason="rng") from None
+        return streams
+
     def gen(self, slot: int) -> np.random.Generator:
-        """Node ``slot``'s private stream (identical construction to
-        :attr:`NodeContext.rng`: built on first use).  The whole spawn is
-        deferred until the first draw, so RNG-free kernels never pay for
-        it."""
+        """Node ``slot``'s private stream as a numpy Generator (identical
+        construction to :attr:`NodeContext.rng`: built on first use), the
+        reference :attr:`streams` is checked against.  The whole spawn is
+        deferred until the first call."""
         g = self._gens[slot]
         if g is None:
             if self._seed_children is None:

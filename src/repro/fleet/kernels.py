@@ -17,8 +17,6 @@ float summation order).  The semantics each kernel must honour:
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
 import numpy as np
 
 from repro.core.good_nodes import GoodNodesProtocol
@@ -128,10 +126,8 @@ def sampling_kernel(probe, network, *, policy, seed, max_rounds) -> RunResult:
             wt = np.zeros(n, dtype=np.float64)
             np.divide(W, wmax, out=wt, where=wmax > 0.0)
         p = np.minimum(c * (dt + wt), 1.0)
-        for s_ in noniso:
-            s_ = int(s_)
-            out_joined[s_] = fr.gen(s_).random() < p[s_]
-            out_p[s_] = p[s_]
+        out_joined[noniso] = fr.streams.random(noniso) < p[noniso]
+        out_p[noniso] = p[noniso]
         fr.halted[noniso] = True
 
     outputs = {
@@ -162,9 +158,7 @@ def luby_kernel(probe, network, *, policy, seed, max_rounds) -> RunResult:
 
     def draw_and_charge() -> None:
         act = np.flatnonzero(active)
-        for s in act:
-            s = int(s)
-            vals[s] = int(fr.gen(s).integers(0, hi))
+        vals[act] = fr.streams.integers(act, hi)
         fr.charge_broadcast(act, _pair_bits(vals[act]))
 
     draw_and_charge()  # round 0
@@ -218,9 +212,8 @@ def ghaffari_kernel(probe, network, *, policy, seed, max_rounds) -> RunResult:
 
     def mark_and_charge() -> None:
         act = np.flatnonzero(active)
-        for s in act:
-            s = int(s)
-            marked[s] = bool(fr.gen(s).random() < 2.0 ** (-int(exps[s])))
+        # ldexp(1, -e) is 2.0 ** -e exactly (e ≤ 60).
+        marked[act] = fr.streams.random(act) < np.ldexp(1.0, -exps[act])
         fr.charge_broadcast(act, 18 + np.maximum(1, bit_lengths(exps[act])))
 
     mark_and_charge()  # round 0
@@ -332,10 +325,8 @@ def random_trial_kernel(probe, network, *, policy, seed, max_rounds) -> RunResul
             return
         allowed = ~forbidden[act] & (col_range <= deg[act, None])
         sizes = allowed.sum(axis=1)
-        picks = np.empty(len(act), dtype=np.int64)
-        for i, s in enumerate(act):
-            # Same generator call as palette[rng.integers(0, len(palette))].
-            picks[i] = int(fr.gen(int(s)).integers(0, int(sizes[i])))
+        # Same generator call as palette[rng.integers(0, len(palette))].
+        picks = fr.streams.integers(act, sizes)
         cum = np.cumsum(allowed, axis=1)
         proposals[act] = np.argmax(cum == (picks + 1)[:, None], axis=1)
         fr.charge_broadcast(act, _pair_bits(proposals[act]))

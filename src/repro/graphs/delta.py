@@ -302,6 +302,12 @@ def _apply_weight_only(graph: WeightedGraph,
         weights[v] = w
         touched.add(v)
     child = WeightedGraph._from_canonical(graph._adj, weights, m=graph.m)
+    nodes = child._nodes = graph.nodes  # same id set, already sorted
+    if graph._fingerprint is not None:
+        # The child's fingerprint can splice its touched nodes' tokens
+        # into the parent's remembered text (WeightedGraph.fingerprint).
+        child._fp_base = (graph._fingerprint,
+                          tuple(sorted(bisect_left(nodes, v) for v in touched)))
     csr = graph._csr
     if csr is not None:
         # Topology untouched: the child's CSR reuses the parent's

@@ -22,11 +22,38 @@ Instances are immutable, which buys two performance layers (see
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import GraphError
 
 __all__ = ["WeightedGraph"]
+
+# The rendered fingerprint input of the last few graphs hashed, keyed by
+# digest: (node bytes, edge bytes).  Bytes only, never a graph, so an
+# entry keeps no graph alive.  A weight-only delta child names its
+# parent's digest and splices its touched nodes' tokens into the
+# parent's node bytes; the edge bytes are the parent's object.
+_FP_PARTS: "OrderedDict[str, Tuple[bytes, bytes]]" = OrderedDict()
+_FP_PARTS_MAX = 4
+_FP_PARTS_LOCK = threading.Lock()
+
+
+def _remember_parts(digest: str, parts: Tuple[bytes, bytes]) -> None:
+    with _FP_PARTS_LOCK:
+        _FP_PARTS[digest] = parts
+        _FP_PARTS.move_to_end(digest)
+        while len(_FP_PARTS) > _FP_PARTS_MAX:
+            _FP_PARTS.popitem(last=False)
+
+
+def _recall_parts(digest: str) -> Optional[Tuple[bytes, bytes]]:
+    with _FP_PARTS_LOCK:
+        parts = _FP_PARTS.get(digest)
+        if parts is not None:
+            _FP_PARTS.move_to_end(digest)
+        return parts
 
 
 class WeightedGraph:
@@ -38,7 +65,8 @@ class WeightedGraph:
     """
 
     __slots__ = ("_adj", "_weights", "_m", "_nbr_sets", "_nodes",
-                 "_max_degree", "_total_weight", "_fingerprint", "_csr")
+                 "_max_degree", "_total_weight", "_fingerprint", "_csr",
+                 "_fp_base")
 
     def __init__(
         self,
@@ -67,6 +95,9 @@ class WeightedGraph:
         self._max_degree: Optional[int] = None
         self._total_weight: Optional[float] = None
         self._fingerprint: Optional[str] = None
+        # (parent digest, sorted touched slots) for a weight-only delta
+        # child whose parent was already hashed; see fingerprint().
+        self._fp_base: Optional[Tuple[str, Tuple[int, ...]]] = None
         self._csr = None
 
     @classmethod
@@ -352,22 +383,64 @@ class WeightedGraph:
         Weights are hashed via ``repr(float)`` (shortest round-trippable
         form), so the hash is stable across processes and sessions.
         Memoized: graphs are immutable and sweeps fingerprint the same
-        instance once per job.
+        instance once per job.  The hashed text is the node tokens
+        ``n{v}:{w!r};`` then the edge tokens ``e{u},{v};``, both in id
+        order.  A weight-only delta child whose parent's text is still
+        remembered re-renders only its touched nodes' tokens.
         """
         cached = self._fingerprint
         if cached is not None:
             return cached
         import hashlib
 
+        base = self._fp_base
+        parts = self._spliced_parts(*base) if base is not None else None
+        if parts is None:
+            parts = self._rendered_parts()
+        digest = hashlib.sha256(parts[0])
+        digest.update(parts[1])
+        fp = digest.hexdigest()
+        _remember_parts(fp, parts)
+        self._fingerprint = fp
+        self._fp_base = None
+        return fp
+
+    def _rendered_parts(self) -> Tuple[bytes, bytes]:
+        """The fingerprint text from scratch: (node bytes, edge bytes)."""
         w = self._weights
         adj = self._adj
-        parts = [f"n{v}:{w[v]!r};" for v in self.nodes]
-        parts.extend(
-            f"e{u},{v};" for u in self.nodes for v in adj[u] if u < v
-        )
-        digest = hashlib.sha256("".join(parts).encode()).hexdigest()
-        self._fingerprint = digest
-        return digest
+        nodes = self.nodes
+        node_b = "".join([f"n{v}:{w[v]!r};" for v in nodes]).encode()
+        edge_b = "".join([
+            f"e{u},{v};" for u in nodes for v in adj[u] if u < v
+        ]).encode()
+        return node_b, edge_b
+
+    def _spliced_parts(self, parent: str, touched: Tuple[int, ...]
+                       ) -> Optional[Tuple[bytes, bytes]]:
+        """The parent's remembered text with the tokens of the ``touched``
+        slots (sorted) re-rendered from this graph's weights; ``None``
+        once the parent's entry has been evicted."""
+        remembered = _recall_parts(parent)
+        if remembered is None:
+            return None
+        import numpy as np
+
+        node_b, edge_b = remembered
+        # Node token s ends at the s-th ';' of the node bytes.
+        ends = np.flatnonzero(np.frombuffer(node_b, dtype=np.uint8) == 59)
+        nodes = self.nodes
+        w = self._weights
+        pieces = []
+        pos = 0
+        for s in touched:
+            start = int(ends[s - 1]) + 1 if s else 0
+            pieces.append(node_b[pos:start])
+            v = nodes[s]
+            pieces.append(f"n{v}:{w[v]!r};".encode())
+            pos = int(ends[s]) + 1
+        pieces.append(node_b[pos:])
+        return b"".join(pieces), edge_b
 
     def relabeled(self) -> Tuple["WeightedGraph", Dict[int, int]]:
         """Relabel nodes to ``0..n-1``; returns ``(graph, old_id -> new_id)``."""

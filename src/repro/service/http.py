@@ -258,6 +258,9 @@ class HttpServer:
         self.port = port          # 0 = ephemeral; .port is updated on start
         self._server: Optional[asyncio.base_events.Server] = None
         self._conns: Dict[asyncio.Task, asyncio.StreamWriter] = {}
+        # Connections between reading a request and writing its reply,
+        # each with a future set once the reply is written.
+        self._busy: Dict[asyncio.Task, asyncio.Future] = {}
 
     async def start(self) -> int:
         """Bind and listen; returns the actual port (resolves port 0)."""
@@ -272,11 +275,15 @@ class HttpServer:
             self._server.close()
 
     async def _close_connections(self, grace_s: float = 2.0) -> None:
-        """Stop listening, give open connections ``grace_s`` to finish
-        their reply, then close them (idle keep-alives included)."""
+        """Stop listening, give connections with a request in hand
+        ``grace_s`` to write its reply, then close every connection.
+        Idle keep-alive connections are not waited for."""
         self._stop_listening()
-        if self._conns:
-            await asyncio.wait(list(self._conns), timeout=grace_s)
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + grace_s
+        while self._busy and loop.time() < deadline:
+            await asyncio.wait(list(self._busy.values()),
+                               timeout=deadline - loop.time())
         # Closing the transport ends a pending read with EOF and the task
         # returns; cancelling it instead makes asyncio's stream callback
         # log an error on Python 3.11.
@@ -297,18 +304,22 @@ class HttpServer:
         if task is not None:
             self._conns[task] = writer
             task.add_done_callback(lambda done: self._conns.pop(done, None))
+        loop = asyncio.get_running_loop()
         try:
             while True:
                 try:
                     request = await self._read_request(reader)
                 except HttpError as exc:
+                    self._busy[task] = loop.create_future()
                     _status, doc = error_doc(exc.status, str(exc))
                     await self._write_response(writer, exc.status, doc,
                                                JSON_CONTENT_TYPE, close=True)
+                    self._replied(task)
                     await _linger(reader, writer)
                     return
                 if request is None:  # clean EOF between requests
                     return
+                self._busy[task] = loop.create_future()
                 method, target, headers, body = request
                 keep_alive = headers.get("connection", "").lower() != "close"
                 try:
@@ -322,14 +333,21 @@ class HttpServer:
                 await self._write_response(writer, status, payload, ctype,
                                            close=not keep_alive,
                                            head_only=method == "HEAD")
+                self._replied(task)
                 if not keep_alive:
                     return
         except ConnectionError:
             pass
         finally:
+            self._replied(task)
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
+
+    def _replied(self, task: Optional[asyncio.Task]) -> None:
+        done = self._busy.pop(task, None)
+        if done is not None:
+            done.set_result(None)
 
     async def _read_request(self, reader: Any) -> Any:
         return await read_request(reader)

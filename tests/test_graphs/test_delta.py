@@ -201,3 +201,70 @@ class TestDirtyRegion:
         g = _base_graph(2)
         region, _ = dirty_region(g, [10**9], radius=1)
         assert 10**9 not in region
+
+
+# --------------------------------------------------------------------- #
+# the weight-only child's spliced fingerprint
+# --------------------------------------------------------------------- #
+
+def _scratch_digest(graph: WeightedGraph) -> str:
+    """The fingerprint's definition, rendered in one piece."""
+    w = graph.weights
+    text = "".join(f"n{v}:{w[v]!r};" for v in graph.nodes)
+    text += "".join(f"e{u},{v};" for u, v in sorted(graph.edges()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       epochs=st.lists(
+           st.tuples(
+               st.lists(st.tuples(
+                   st.integers(min_value=0, max_value=40),
+                   st.one_of(st.sampled_from([0.0, 1e-300, 0.1, 12345.678,
+                                              1.0, 7.0, 1e300]),
+                             st.floats(min_value=0.0, max_value=1e6,
+                                       allow_nan=False))),
+                   min_size=1, max_size=6),
+               st.booleans()),
+           min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_spliced_fingerprint_equals_scratch_over_weight_only_chains(seed,
+                                                                    epochs):
+    """Tokens whose repr changes length (1e-300 vs 0.1 vs 12345.678)
+    shift every later token; an evicted parent renders from scratch."""
+    import repro.graphs.weighted_graph as wg
+
+    parent = _base_graph(seed)
+    parent.fingerprint()
+    nodes = parent.nodes
+    for ops, evict in epochs:
+        delta = GraphDelta.of(["set_weight", nodes[i % len(nodes)], w]
+                              for i, w in ops)
+        child = apply_delta(parent, delta)
+        assert child._fp_base[0] == parent.fingerprint()
+        if evict:
+            for filler in range(wg._FP_PARTS_MAX):
+                uniform_weights(random_tree(5, seed=filler), 1, 9,
+                                seed=filler).fingerprint()
+            assert parent.fingerprint() not in wg._FP_PARTS
+        fp = child.fingerprint()
+        assert fp == _scratch_digest(child)
+        assert fp == WeightedGraph.from_edges(
+            nodes, child.edges(), child.weights).fingerprint()
+        parent = child
+
+
+def test_weight_only_child_shares_its_parents_edge_bytes():
+    import repro.graphs.weighted_graph as wg
+
+    parent = _base_graph(3)
+    parent_fp = parent.fingerprint()
+    child = apply_delta(parent, GraphDelta.of([["set_weight", 0, 1e-300]]))
+    child_fp = child.fingerprint()
+    assert child._fp_base is None  # spent once hashed
+    node_b, edge_b = wg._FP_PARTS[child_fp]
+    assert edge_b is wg._FP_PARTS[parent_fp][1]
+    assert node_b.startswith(b"n0:1e-300;")
+    # The memo holds bytes only, never a graph.
+    assert all(type(part) is bytes
+               for parts in wg._FP_PARTS.values() for part in parts)

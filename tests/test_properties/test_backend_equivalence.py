@@ -6,9 +6,15 @@ kernel, the columnar backend must reproduce the per-node scheduler's
 outputs, metrics, and n_bound exactly.  Weights are drawn adversarially
 (zeros, ties, floats) because the kernels replay floating-point
 summation order — any reordering shows up here as a last-ulp mismatch.
+
+``n_bound`` is drawn across 1625/1626, where Luby's ``hi = n_bound**3``
+crosses 2**32 and the stream column's draws switch from 32-bit to
+64-bit Lemire; seeds include SeedSequences with spawn keys and children
+already spawned, passed as the same object to both backends.
 """
 
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import given, settings
 
 from repro.coloring.random_trial import RandomTrialColoring
@@ -18,6 +24,7 @@ from repro.graphs import WeightedGraph
 from repro.mis.deterministic import LocalMinimaMIS
 from repro.mis.ghaffari import GhaffariMIS
 from repro.mis.luby import LubyMIS
+from repro.simulator.network import Network
 from repro.simulator.runner import run
 
 FACTORIES = [
@@ -46,14 +53,30 @@ def weighted_graphs(draw, max_nodes: int = 14):
                                     weights=dict(enumerate(weights)))
 
 
+seeds = st.one_of(
+    st.integers(min_value=0, max_value=2 ** 31 - 1),
+    st.builds(
+        np.random.SeedSequence,
+        st.integers(min_value=0, max_value=2 ** 64),
+        spawn_key=st.lists(st.integers(min_value=0, max_value=2 ** 33),
+                           min_size=1, max_size=3).map(tuple),
+        n_children_spawned=st.integers(min_value=0, max_value=10 ** 5),
+    ),
+)
+
+n_bounds = st.one_of(st.none(), st.sampled_from([1625, 1626]),
+                     st.integers(min_value=14, max_value=5000))
+
+
 @given(g=weighted_graphs(),
        fi=st.integers(min_value=0, max_value=len(FACTORIES) - 1),
-       seed=st.integers(min_value=0, max_value=2 ** 31 - 1))
-@settings(max_examples=60, deadline=None)
-def test_columnar_backend_is_byte_identical(g, fi, seed):
+       seed=seeds, n_bound=n_bounds)
+@settings(max_examples=100, deadline=None)
+def test_columnar_backend_is_byte_identical(g, fi, seed, n_bound):
     factory = FACTORIES[fi]
-    base = run(g, factory, seed=seed)
-    col = run(g, factory, seed=seed, backend="columnar")
+    net = Network.of(g, n_bound)
+    base = run(net, factory, seed=seed)
+    col = run(net, factory, seed=seed, backend="columnar")
     assert col.outputs == base.outputs
     assert col.metrics.to_dict() == base.metrics.to_dict()
     assert col.n_bound == base.n_bound

@@ -6,6 +6,8 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import socket
+import time
 
 import pytest
 
@@ -131,3 +133,45 @@ def test_handler_crash_is_answered_500_and_logged(caplog):
     assert status == 500
     assert json.loads(body)["error"]["code"] == "internal"
     assert "RuntimeError: boom" in caplog.text
+
+
+def test_shutdown_does_not_wait_out_an_idle_keep_alive_connection():
+    with ServerThread() as server:
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=5) as sock:
+            sock.sendall(b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200")
+            # The connection is now idle, parked on its next request.
+            t0 = time.perf_counter()
+            server._runner.close()
+            assert time.perf_counter() - t0 < 0.5
+            assert sock.recv(65536) == b""  # closed by the server
+
+
+def test_shutdown_still_answers_the_request_in_flight():
+    class Slow(HttpServer):
+        def __init__(self):
+            super().__init__("127.0.0.1", 0)
+            self.started = asyncio.Event()
+            self.routes = RouteTable({"/slow": {"GET": self._slow}})
+
+        async def _slow(self, call):
+            self.started.set()
+            await asyncio.sleep(0.3)
+            return 200, {"ok": True}
+
+    async def go():
+        server = Slow()
+        port = await server.start()
+        client = HttpClient("127.0.0.1", port)
+        try:
+            reply = asyncio.create_task(
+                client.request("GET", "/slow", timeout_s=5))
+            await server.started.wait()
+            await server._close_connections()
+            return await reply
+        finally:
+            await client.close()
+
+    status, body = asyncio.run(go())
+    assert status == 200 and json.loads(body) == {"ok": True}

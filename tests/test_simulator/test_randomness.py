@@ -1,8 +1,15 @@
 """Unit tests for per-node randomness derivation."""
 
 import numpy as np
+import pytest
 
+from repro.coloring.random_trial import RandomTrialColoring
+from repro.core.sparsify import SamplingProtocol
+from repro.graphs.generators import gnp
+from repro.mis.ghaffari import GhaffariMIS
+from repro.mis.luby import LubyMIS
 from repro.simulator import derive_seed, spawn_node_rngs
+from repro.simulator.runner import run
 
 
 def test_spawn_reproducible():
@@ -47,3 +54,18 @@ def test_derive_seed_reproducible():
     a = np.random.default_rng(derive_seed(9, 3)).random()
     b = np.random.default_rng(derive_seed(9, 3)).random()
     assert a == b
+
+
+@pytest.mark.parametrize("factory", [LubyMIS, GhaffariMIS, SamplingProtocol,
+                                     RandomTrialColoring])
+def test_one_seed_sequence_gives_one_report_on_both_backends(factory):
+    """A SeedSequence seed is a value: the same object through two runs on
+    each backend gives four identical results and is not advanced."""
+    g = gnp(40, 0.1, seed=2)
+    ss = np.random.SeedSequence(9, spawn_key=(4, 2), n_children_spawned=7)
+    results = [run(g, factory, seed=ss, backend=backend)
+               for backend in ("per-node", "per-node", "columnar", "columnar")]
+    assert ss.n_children_spawned == 7
+    for res in results[1:]:
+        assert res.outputs == results[0].outputs
+        assert res.metrics.to_dict() == results[0].metrics.to_dict()
