@@ -50,16 +50,21 @@ bench-columnar:
 		--baseline BENCH_runner.json --tolerance 3.0 \
 		--out bench_columnar.json
 
-# Backend byte-identity: the golden-sha256 family suite, the backend
-# unit/fallback/cache suite, and the hypothesis equivalence property —
-# the subset of tier 1 that pins per-node and columnar to identical
-# reports.
+# Backend byte-identity and the cache sharing it licenses: the
+# golden-sha256 family suite, the backend unit/fallback/cache suite
+# (per-node and columnar twins share one request key and one disk
+# entry), the hypothesis equivalence properties (protocols through
+# run(), every registry algorithm through solve()), and the incremental
+# path finding a parent on disk under either backend — the subset of
+# tier 1 that pins per-node and columnar to identical reports and to
+# one shared cache.
 backend-equivalence: export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 backend-equivalence:
 	$(PYTHON) -m pytest -q \
 		tests/test_faults/test_runner_faults.py \
 		tests/test_simulator/test_backends.py \
-		tests/test_properties/test_backend_equivalence.py
+		tests/test_properties/test_backend_equivalence.py \
+		"tests/test_service/test_delta_plane.py::TestSolveModeGoldens::test_weight_only_delta_served_from_disk_tier"
 
 # HTTP wire suite: hostile bytes (malformed request lines, bad
 # Content-Length, header floods, over-long lines, truncated bodies,

@@ -12,20 +12,22 @@ dataclasses defined here:
 
 Requests speak ``schema "v2"``: the graph travels as one tagged union —
 ``{"inline": <graph doc>}``, ``{"ref": "<fingerprint>"}``, or
-``{"delta": {"parent": "<fingerprint>", "ops": [...]}}`` — instead of
-the v1 era's mutually exclusive top-level ``graph``/``graph_ref``
-shapes.  v1-shaped documents are still accepted through a compatibility
-shim (a :class:`DeprecationWarning` here, ``deprecated: true`` in the
-served envelope) and produce *byte-identical request keys*, so existing
-cache entries keep hitting and v1/v2 twins coalesce together.
+``{"delta": {"parent": "<fingerprint>", "ops": [...]}}``.  A body with
+no ``schema`` or ``"schema": "v1"`` is refused with a
+:class:`SchemaError` that points at the v2 union (docs/service.md,
+"Migrating from v1").
+
+A request's identity — :meth:`SolveRequest.key`, the coalescing, cache
+and shard key — is its graph fingerprint, algorithm, seed and params,
+and nothing else: the execution backend chooses how a request runs, not
+what it computes.
 
 Reports carry ``schema "v1"`` — the canonical report document is
-deliberately **unchanged** by the v2 request redesign.  Report
-serialization is *canonical* (sorted keys, compact separators,
-wall-clock stripped), which is what makes fixed-seed responses
-byte-identical across the in-process and HTTP paths, across execution
-backends, and across request schema versions — properties the service
-test-suite pins.
+versioned independently of the request schema.  Report serialization is
+*canonical* (sorted keys, compact separators, wall-clock stripped),
+which is what makes fixed-seed responses byte-identical across the
+in-process and HTTP paths and across execution backends — properties
+the service test-suite pins.
 
 Quickstart::
 
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -55,9 +56,7 @@ from repro.registry import algorithm_registry
 
 __all__ = [
     "REPORT_SCHEMA_VERSION",
-    "SCHEMA_V1",
     "SCHEMA_VERSION",
-    "SUPPORTED_SCHEMAS",
     "DeltaForm",
     "SchemaError",
     "SolveError",
@@ -73,21 +72,20 @@ __all__ = [
     "algorithm_registry",
 ]
 
-# The request/envelope schema this build speaks natively, and the legacy
-# one the compatibility shim still accepts.
-SCHEMA_V1 = "v1"
+# The request/envelope schema this build speaks.
 SCHEMA_VERSION = "v2"
-SUPPORTED_SCHEMAS = (SCHEMA_V1, SCHEMA_VERSION)
 # The canonical report document is versioned independently of the
 # request schema and did NOT change in v2: fixed-seed reports stay
 # byte-identical across the redesign (cache entries, goldens, and the
 # backend-equivalence suite all pin these bytes).
 REPORT_SCHEMA_VERSION = "v1"
 
-_V1_DEPRECATION = (
-    "schema-v1 solve requests (top-level graph/graph_ref shapes) are "
-    "deprecated; send schema v2 with the tagged graph union "
-    '({"inline": ...} | {"ref": ...} | {"delta": ...})'
+_V2_ONLY = (
+    f"this build speaks schema {SCHEMA_VERSION!r} only: send "
+    f'"schema": "{SCHEMA_VERSION}" with the graph as one of '
+    '{"inline": <graph doc>} | {"ref": "<fingerprint>"} | '
+    '{"delta": {"parent": "<fingerprint>", "ops": [...]}} '
+    "(docs/service.md, Migrating from v1)"
 )
 
 
@@ -111,68 +109,45 @@ class SolveError(ReproError):
 # request-side graph codec
 # --------------------------------------------------------------------- #
 
-def graph_to_doc(graph, *, schema: str = SCHEMA_VERSION) -> Dict[str, Any]:
-    """The wire encoding of a graph (see :mod:`repro.graphs.io`).
+def graph_to_doc(graph) -> Dict[str, Any]:
+    """The wire encoding of a graph: the schema-v2 tagged union.
 
-    Under schema v2 (the default) the encoding is the tagged union: a
-    :class:`~repro.graphs.store.GraphRef` becomes ``{"ref":
-    "<fingerprint>"}`` and a materialized graph ``{"inline": <doc>}``.
-    Pass ``schema="v1"`` for the legacy shapes (``{"graph_ref": ...}`` /
-    bare inline doc) — used by the compatibility shim's round-trip.
+    A :class:`~repro.graphs.store.GraphRef` becomes ``{"ref":
+    "<fingerprint>"}`` and a materialized graph ``{"inline": <doc>}``
+    (the :func:`repro.graphs.io.to_doc` format).
     """
-    if schema == SCHEMA_V1:
-        if isinstance(graph, GraphRef):
-            return {"graph_ref": graph.ref}
-        return _graph_to_inline_doc(graph)
     if isinstance(graph, GraphRef):
         return {"ref": graph.ref}
     return {"inline": _graph_to_inline_doc(graph)}
 
 
 def graph_from_doc(doc: Any, *, store: Optional[GraphStore] = None):
-    """Decode a graph document — either schema's vocabulary.
+    """Decode a graph document: the v2 union or a bare inline document.
 
     The schema-v2 tagged union is accepted (``{"inline": <doc>}``,
-    ``{"ref": "<fp>"}``, ``{"delta": {"parent", "ops"}}`` — a delta form
-    is materialized to the child graph), as are the legacy v1 shapes:
+    ``{"ref": "<fp>"}``, ``{"delta": {"parent", "ops"}}`` — a ref
+    resolves against ``store`` to a :class:`GraphRef`, a delta form is
+    materialized to the child graph), as is the bare inline document
+    that ``POST /v1/graphs`` takes:
 
-    * inline — ``{"nodes": [[id, weight], ...], "edges": [[u, v], ...]}``
-      (the :func:`repro.graphs.io.to_doc` format);
+    * ``{"nodes": [[id, weight], ...], "edges": [[u, v], ...]}`` (the
+      :func:`repro.graphs.io.to_doc` format);
     * by spec — ``{"spec": "gnp:100,0.05", "weights": "uniform:1,20",
       "seed": 7}``, materialized server-side through the generator zoo
-      (``weights`` defaults to ``keep``, ``seed`` to 0);
-    * by reference — ``{"graph_ref": "<fingerprint>"}``, resolved against
-      ``store`` (a graph previously registered via ``POST /v1/graphs`` or
-      :meth:`GraphStore.put`).  Returns a :class:`GraphRef` — the graph
-      itself is only materialized where the solve executes.  Raises
-      :class:`~repro.graphs.store.UnknownGraphRef` when the store has no
-      such fingerprint, and :class:`SchemaError` when no store is
-      configured.
+      (``weights`` defaults to ``keep``, ``seed`` to 0).
 
     Raises :class:`SchemaError` on anything else.
     """
     if isinstance(doc, dict) and any(k in doc for k in _V2_GRAPH_TAGS):
         graph, _ = _decode_graph_v2(doc, store=store)
         return graph
-    return _graph_field_v1(doc, store=store)
+    return _inline_graph(doc)
 
 
-def _graph_field_v1(doc: Any, *, store: Optional[GraphStore] = None):
-    """The legacy (schema-v1) graph-field decoder."""
+def _inline_graph(doc: Any) -> WeightedGraph:
+    """Decode an inline graph document (nodes/edges or a spec)."""
     if not isinstance(doc, dict):
         raise SchemaError(f"graph must be an object, got {type(doc).__name__}")
-    if "graph_ref" in doc:
-        ref = doc["graph_ref"]
-        if not isinstance(ref, str) or not ref:
-            raise SchemaError(f"graph_ref must be a hex string, got {ref!r}")
-        if store is None:
-            raise SchemaError(
-                "graph_ref requires a graph store (this entry point has "
-                "none configured)")
-        try:
-            return store.ref(ref)
-        except GraphFormatError as exc:
-            raise SchemaError(str(exc)) from exc
     if "spec" in doc:
         seed = doc.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
@@ -238,10 +213,22 @@ def _decode_graph_v2(doc: Any, *, store: Optional[GraphStore] = None,
         )
     tag = tags[0]
     if tag == "inline":
-        return _graph_field_v1(doc["inline"], store=None), None
-    if tag == "ref":
-        return _graph_field_v1({"graph_ref": doc["ref"]}, store=store), None
-    return _decode_delta_form(doc["delta"], store=store)
+        return _inline_graph(doc["inline"]), None
+    if tag == "delta":
+        return _decode_delta_form(doc["delta"], store=store)
+    # A ref resolves without materializing; an unknown one raises
+    # UnknownGraphRef (HTTP 404).
+    ref = doc["ref"]
+    if not isinstance(ref, str) or not ref:
+        raise SchemaError(f"ref must be a hex string, got {ref!r}")
+    if store is None:
+        raise SchemaError(
+            "ref requires a graph store (this entry point has none "
+            "configured)")
+    try:
+        return store.ref(ref), None
+    except GraphFormatError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def _decode_delta_form(value: Any, *, store: Optional[GraphStore] = None,
@@ -291,6 +278,35 @@ def _canonical_params(params: Mapping[str, Any]) -> Dict[str, Any]:
     return out
 
 
+def _request_key(fingerprint: str, algorithm: str, seed: int,
+                 params: Mapping[str, Any]) -> str:
+    """The request identity: sha256 of ``{fingerprint, algorithm, seed,
+    params}`` as sorted-key JSON.  The one place a request key is
+    hashed — :meth:`SolveRequest.key` and the doc-only router keys all
+    call it."""
+    doc = {"fingerprint": fingerprint, "algorithm": algorithm,
+           "seed": seed, "params": params}
+    blob = json.dumps(doc, sort_keys=True, default=repr)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _identity_fields(doc: Mapping[str, Any],
+                     ) -> Tuple[str, int, Dict[str, Any]]:
+    """The validated ``(algorithm, seed, params)`` of a request doc."""
+    algorithm = doc.get("algorithm")
+    if not isinstance(algorithm, str) or not algorithm:
+        raise SchemaError("request is missing the algorithm name")
+    seed = doc.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise SchemaError(f"seed must be an int, got {seed!r}")
+    params = doc.get("params") or {}
+    if not isinstance(params, dict):
+        raise SchemaError(
+            f"params must be an object, got {type(params).__name__}"
+        )
+    return algorithm, seed, params
+
+
 # --------------------------------------------------------------------- #
 # the request/report contract
 # --------------------------------------------------------------------- #
@@ -299,16 +315,20 @@ def _canonical_params(params: Mapping[str, Any]) -> Dict[str, Any]:
 class SolveRequest:
     """One solve: ``algorithm(graph, seed=seed, **params)``.
 
-    ``timeout_s`` and ``label`` are serving hints: the deadline the
-    service enforces on the request, and an opaque tag echoed into
-    observability records.  Neither affects the computation, so neither
-    participates in :meth:`key`.
+    :meth:`key` — the request's identity — covers the graph content,
+    algorithm, seed and params, and nothing else.  The other fields
+    choose how the request is served, not what it computes:
 
-    ``backend`` selects the execution backend (``"per-node"`` or
-    ``"columnar"``); the default empty string means per-node.  Backends
-    are byte-identical by contract, but the selector still participates
-    in :meth:`key` so a columnar request is never coalesced with (or
-    cached as) a per-node one.
+    * ``timeout_s`` is the deadline the service enforces, and ``label``
+      an opaque tag echoed into observability records;
+    * ``backend`` selects the execution backend (``"per-node"`` or
+      ``"columnar"``; the empty default leaves the choice to the
+      caller's default).  Backends give byte-identical reports, so
+      per-node and columnar twins coalesce, share cache entries and
+      land on one fleet shard;
+    * ``delta`` records the provenance when the graph arrived as
+      ``{"delta": {parent, ops}}``, so a delta-form solve keys
+      identically to a from-scratch solve of the edited graph.
 
     ``graph`` may be a materialized :class:`WeightedGraph` or a
     :class:`~repro.graphs.store.GraphRef`.  Because a ref's
@@ -316,14 +336,6 @@ class SolveRequest:
     is identical either way — ref-based and body-based requests for the
     same computation coalesce together and share cache entries, which is
     what makes their reports byte-identical.
-
-    ``schema_version`` records which wire vocabulary the request arrived
-    in (``"v2"`` natively; ``"v1"`` through the compatibility shim) and
-    ``delta`` the delta-form provenance when the graph arrived as
-    ``{"delta": {parent, ops}}``.  Both are serving metadata: neither
-    participates in :meth:`key`, so a v1-shaped solve keys — and caches,
-    and coalesces — byte-identically to its v2 twin, and a delta-form
-    solve identically to a from-scratch solve of the edited graph.
     """
 
     graph: Any  # WeightedGraph | GraphRef
@@ -333,13 +345,12 @@ class SolveRequest:
     timeout_s: Optional[float] = None
     label: str = ""
     backend: str = ""
-    schema_version: str = SCHEMA_VERSION
     delta: Optional[DeltaForm] = None
 
     def key(self) -> str:
         """Coalescing identity: requests with equal keys are the same
-        computation (graph content, algorithm, seed, params, backend)
-        and may be served by one execution."""
+        computation (graph content, algorithm, seed, params) and may be
+        served by one execution."""
         return self.key_for_fingerprint(self.graph.fingerprint())
 
     def key_for_fingerprint(self, fingerprint: str) -> str:
@@ -347,35 +358,21 @@ class SolveRequest:
 
         The incremental re-solve path uses this to derive the *parent's*
         cache/coalescing key from a delta-form request — same algorithm,
-        seed, params, and backend, different graph content.
+        seed and params, different graph content.
         """
-        doc = {
-            "fingerprint": fingerprint,
-            "algorithm": self.algorithm,
-            "seed": self.seed,
-            "params": self.params,
-        }
-        if self.backend and self.backend != "per-node":
-            doc["backend"] = self.backend
-        blob = json.dumps(doc, sort_keys=True, default=repr)
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return _request_key(fingerprint, self.algorithm, self.seed,
+                            self.params)
 
     def to_doc(self) -> Dict[str, Any]:
-        """Re-emit the request in the vocabulary it was parsed from.
-
-        ``schema_version == "v1"`` round-trips through the legacy shapes
-        so a shimmed request serializes back to what the caller sent; a
-        delta-form request re-emits its delta union member rather than
-        the materialized child.
-        """
-        if self.schema_version == SCHEMA_V1:
-            graph_doc = graph_to_doc(self.graph, schema=SCHEMA_V1)
-        elif self.delta is not None:
+        """The request as a schema-v2 document; a delta-form request
+        re-emits its delta union member rather than the materialized
+        child."""
+        if self.delta is not None:
             graph_doc = {"delta": self.delta.to_doc()}
         else:
             graph_doc = graph_to_doc(self.graph)
         doc: Dict[str, Any] = {
-            "schema": self.schema_version,
+            "schema": SCHEMA_VERSION,
             "graph": graph_doc,
             "algorithm": self.algorithm,
             "seed": self.seed,
@@ -400,26 +397,14 @@ class SolveRequest:
             raise SchemaError(
                 f"request must be an object, got {type(doc).__name__}"
             )
-        schema = doc.get("schema", SCHEMA_V1)
-        if schema not in SUPPORTED_SCHEMAS:
-            raise SchemaError(
-                f"unsupported schema {schema!r}; this build speaks "
-                f"{SCHEMA_VERSION!r} (and {SCHEMA_V1!r} through the "
-                "compatibility shim)"
-            )
+        schema = doc.get("schema")
+        if schema != SCHEMA_VERSION:
+            got = ("the request has no schema" if schema is None
+                   else f"unsupported schema {schema!r}")
+            raise SchemaError(f"{got}; {_V2_ONLY}")
         if "graph" not in doc:
             raise SchemaError("request is missing the graph field")
-        algorithm = doc.get("algorithm")
-        if not isinstance(algorithm, str) or not algorithm:
-            raise SchemaError("request is missing the algorithm name")
-        seed = doc.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise SchemaError(f"seed must be an int, got {seed!r}")
-        params = doc.get("params") or {}
-        if not isinstance(params, dict):
-            raise SchemaError(
-                f"params must be an object, got {type(params).__name__}"
-            )
+        algorithm, seed, params = _identity_fields(doc)
         timeout_s = doc.get("timeout_s")
         if timeout_s is not None:
             try:
@@ -438,11 +423,7 @@ class SolveRequest:
                 backend = normalize_backend_name(backend)
             except ValueError as exc:
                 raise SchemaError(str(exc)) from exc
-        if schema == SCHEMA_V1:
-            warnings.warn(_V1_DEPRECATION, DeprecationWarning, stacklevel=2)
-            graph, delta_form = _graph_field_v1(doc["graph"], store=store), None
-        else:
-            graph, delta_form = _decode_graph_v2(doc["graph"], store=store)
+        graph, delta_form = _decode_graph_v2(doc["graph"], store=store)
         return cls(
             graph=graph,
             algorithm=algorithm,
@@ -451,7 +432,6 @@ class SolveRequest:
             timeout_s=timeout_s,
             label=str(doc.get("label", "")),
             backend=str(backend or ""),
-            schema_version=schema,
             delta=delta_form,
         )
 
@@ -465,82 +445,43 @@ class SolveRequest:
         return cls.from_doc(doc, store=store)
 
 
-def _key_for_fingerprint(doc: Dict[str, Any],
-                         fingerprint: str) -> Optional[str]:
-    """Hash the :meth:`SolveRequest.key` doc for ``fingerprint`` using
-    the (already-validated-as-present) request fields of ``doc``."""
-    algorithm = doc.get("algorithm")
-    if not isinstance(algorithm, str) or not algorithm:
+def _key_from_doc(doc: Any, *path: str) -> Optional[str]:
+    """:func:`_request_key` of a schema-v2 request ``doc`` against the
+    fingerprint at ``doc["graph"][path[0]][path[1]]...``, or ``None``
+    when the doc is not well-formed enough to say."""
+    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_VERSION:
         return None
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    fingerprint = doc.get("graph")
+    for step in path:
+        fingerprint = (fingerprint.get(step)
+                       if isinstance(fingerprint, dict) else None)
+    if not isinstance(fingerprint, str) or not fingerprint:
         return None
-    params = doc.get("params") or {}
-    if not isinstance(params, dict):
-        return None
-    backend = doc.get("backend", "")
-    if backend:
-        from repro.simulator.backends import normalize_backend_name
-
-        try:
-            backend = normalize_backend_name(backend)
-        except ValueError:
-            return None
-    key_doc: Dict[str, Any] = {
-        "fingerprint": fingerprint,
-        "algorithm": algorithm,
-        "seed": seed,
-        "params": params,
-    }
-    if backend and backend != "per-node":
-        key_doc["backend"] = backend
     try:
-        blob = json.dumps(key_doc, sort_keys=True, default=repr)
-    except (TypeError, ValueError):
+        return _request_key(fingerprint, *_identity_fields(doc))
+    except SchemaError:
         return None
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _doc_graph_ref(doc: Any) -> Optional[str]:
-    """The graph fingerprint named by a reference-form request doc, in
-    either schema's vocabulary; ``None`` for any other shape."""
-    if not isinstance(doc, dict):
-        return None
-    schema = doc.get("schema", SCHEMA_V1)
-    if schema not in SUPPORTED_SCHEMAS:
-        return None
-    graph_doc = doc.get("graph")
-    if not isinstance(graph_doc, dict):
-        return None
-    ref = graph_doc.get("graph_ref" if schema == SCHEMA_V1 else "ref")
-    if not isinstance(ref, str) or not ref:
-        return None
-    return ref
 
 
 def request_key_from_doc(doc: Any) -> Optional[str]:
     """Compute :meth:`SolveRequest.key` for a reference-form request doc
     without materializing anything.
 
-    The fleet router shards by request key; for reference-form requests
-    (v1 ``{"graph_ref": fp}`` or v2 ``{"ref": fp}``) the graph
-    fingerprint is right there in the doc, so the key — and hence the
-    shard — is computable with no graph store, no body reparse, and no
-    size-dependent work.  Returns ``None`` whenever the doc is not a
-    well-formed reference request (the caller falls back to the full
-    parse path, which produces the proper schema error or inline-graph
-    key).
+    The fleet router shards by request key; for a reference-form request
+    (``{"ref": fp}``) the graph fingerprint is right there in the doc,
+    so the key — and hence the shard — is computable with no graph
+    store, no body reparse, and no size-dependent work.  Returns
+    ``None`` whenever the doc is not a well-formed reference request
+    (the caller falls back to the full parse path, which produces the
+    proper schema error or inline-graph key).
     """
-    ref = _doc_graph_ref(doc)
-    if ref is None:
-        return None
-    return _key_for_fingerprint(doc, ref)
+    return _key_from_doc(doc, "ref")
 
 
 def delta_route_key_from_doc(doc: Any) -> Optional[str]:
     """A *placement hint* for a delta-form request: the key the same
-    (algorithm, seed, params, backend) solve would have against the
-    **parent** graph.
+    (algorithm, seed, params) solve would have against the **parent**
+    graph.
 
     Not the request's identity — the true key uses the child's
     fingerprint, which only exists after the delta is applied.  But
@@ -549,20 +490,7 @@ def delta_route_key_from_doc(doc: Any) -> Optional[str]:
     incremental re-solve path wants to run.  Returns ``None`` for
     non-delta docs.
     """
-    if not isinstance(doc, dict):
-        return None
-    if doc.get("schema", SCHEMA_V1) != SCHEMA_VERSION:
-        return None
-    graph_doc = doc.get("graph")
-    if not isinstance(graph_doc, dict):
-        return None
-    delta_doc = graph_doc.get("delta")
-    if not isinstance(delta_doc, dict):
-        return None
-    parent = delta_doc.get("parent")
-    if not isinstance(parent, str) or not parent:
-        return None
-    return _key_for_fingerprint(doc, parent)
+    return _key_from_doc(doc, "delta", "parent")
 
 
 def _strip_wall(obj: Any) -> Any:
@@ -743,7 +671,8 @@ def solve(
             instead — the service's behaviour.
         backend: execution backend name (``"per-node"``/``"columnar"``);
             ``None`` keeps the per-node default.  Fixed-seed reports are
-            byte-identical across backends.
+            byte-identical across backends, so both read and write the
+            same ``cache_dir`` entry.
         **params: algorithm parameters (e.g. ``eps=0.5``).
 
     Returns:

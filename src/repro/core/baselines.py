@@ -32,6 +32,7 @@ from repro.results import AlgorithmResult
 from repro.simulator.metrics import RunMetrics
 from repro.simulator.models import BandwidthPolicy
 from repro.simulator.network import Network
+from repro.simulator.randomness import seed_sequence
 
 __all__ = ["bar_yehuda_maxis", "greedy_maxis", "mis_baseline"]
 
@@ -70,8 +71,7 @@ def bar_yehuda_maxis(
     # below 1 (only relevant for non-integer inputs).
     thresholds.append(float(np.finfo(float).tiny))
 
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    scale_seeds = ss.spawn(len(thresholds))
+    scale_seeds = seed_sequence(seed).spawn(len(thresholds))
     blackbox = get_mis_blackbox(mis)
     bound = Network.of(graph, n_bound).n_bound
 

@@ -29,6 +29,7 @@ from repro.core.local_ratio import (
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.obs.spans import span
 from repro.results import AlgorithmResult
+from repro.simulator.randomness import seed_sequence
 
 __all__ = ["InnerApprox", "boost", "phases_for"]
 
@@ -76,8 +77,7 @@ def boost(
         the Proposition 2 stack value.
     """
     t = phases if phases is not None else phases_for(c, eps)
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    phase_seeds = ss.spawn(max(t, 1))
+    phase_seeds = seed_sequence(seed).spawn(max(t, 1))
     stop_threshold = (
         eps / (1.0 + eps) * graph.max_weight() if adaptive else 0.0
     )

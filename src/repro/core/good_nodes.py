@@ -24,6 +24,7 @@ from repro.simulator.context import NodeContext
 from repro.simulator.metrics import RunMetrics
 from repro.simulator.models import BandwidthPolicy
 from repro.simulator.network import Network
+from repro.simulator.randomness import seed_sequence
 from repro.simulator.runner import run
 
 __all__ = ["GoodNodesProtocol", "good_nodes_approx", "good_node_set"]
@@ -79,8 +80,7 @@ def good_nodes_approx(
     if graph.n == 0:
         return AlgorithmResult(frozenset(), RunMetrics(), {"good_nodes": 0})
 
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    seed_flags, seed_mis = ss.spawn(2)
+    seed_flags, seed_mis = seed_sequence(seed).spawn(2)
 
     network = Network.of(graph, n_bound)
     with span("good-nodes") as sp:

@@ -28,6 +28,7 @@ from repro.graphs.weighted_graph import WeightedGraph
 from repro.results import AlgorithmResult
 from repro.simulator.metrics import RunMetrics
 from repro.simulator.network import Network
+from repro.simulator.randomness import seed_sequence
 
 __all__ = ["low_arboricity_maxis"]
 
@@ -82,8 +83,7 @@ def low_arboricity_maxis(
     threshold = threshold_factor * alpha
 
     t = phases if phases is not None else int(math.floor(math.log2(max(2, graph.n)))) + 1
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    phase_seeds = ss.spawn(max(t, 1))
+    phase_seeds = seed_sequence(seed).spawn(max(t, 1))
 
     weights: Dict[int, float] = graph.weights
     active = {v for v, w in weights.items() if w > 0}

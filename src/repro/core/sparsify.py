@@ -37,6 +37,7 @@ from repro.simulator.context import NodeContext
 from repro.simulator.metrics import RunMetrics
 from repro.simulator.models import BandwidthPolicy
 from repro.simulator.network import Network
+from repro.simulator.randomness import seed_sequence
 from repro.simulator.runner import run
 
 __all__ = [
@@ -170,8 +171,7 @@ def sparsified_approx(
     if graph.n == 0:
         return AlgorithmResult(frozenset(), RunMetrics(), {"sampled_nodes": 0})
 
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    seed_sample, seed_inner = ss.spawn(2)
+    seed_sample, seed_inner = seed_sequence(seed).spawn(2)
 
     with span("sparsified") as sp:
         outcome = sample_subgraph(

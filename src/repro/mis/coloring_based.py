@@ -28,6 +28,7 @@ from repro.simulator.context import NodeContext
 from repro.simulator.metrics import RunMetrics
 from repro.simulator.models import BandwidthPolicy
 from repro.simulator.network import Network
+from repro.simulator.randomness import seed_sequence
 from repro.simulator.runner import run
 
 __all__ = ["ColorSweepMIS", "coloring_mis"]
@@ -87,8 +88,7 @@ def coloring_mis(
         return AlgorithmResult(frozenset(), RunMetrics(), {"algorithm": "ColorSweepMIS"})
     from repro.coloring.random_trial import random_coloring
 
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    seed_color, seed_sweep = ss.spawn(2)
+    seed_color, seed_sweep = seed_sequence(seed).spawn(2)
 
     network = Network.of(graph, n_bound)
     with span("mis[ColorSweepMIS]") as sp:

@@ -13,9 +13,9 @@ Imports are local so that importing :mod:`repro.registry` (which the
 simulator package does) never pulls in the whole algorithm stack.
 
 .. note::
-   This module is the canonical home of :func:`algorithm_registry`
-   (moved from ``repro.simulator.batch``, which keeps a
-   ``DeprecationWarning`` shim).
+   This module is the only home of :func:`algorithm_registry`;
+   ``repro.simulator.batch`` imports it under a private name and
+   re-exports nothing.
 """
 
 from __future__ import annotations

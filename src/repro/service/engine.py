@@ -369,7 +369,6 @@ class SolverEngine:
             queue_depth=self.queue_depth,
             draining=self._draining,
             worker_id=self.worker_id,
-            backend=self.backend,
             memory_cache=(self._memory_cache.snapshot()
                           if self._memory_cache is not None else None),
         )
@@ -503,8 +502,7 @@ class SolverEngine:
             tier = "memory"
         if parent_report is None and self.cache_dir:
             parent_report = inc.parent_report_from_disk(
-                self.cache_dir, request, policy=self.policy,
-                default_backend=self.backend)
+                self.cache_dir, request, policy=self.policy)
             tier = "disk"
         if parent_report is None or not parent_report.ok:
             self._stats.inc("incremental_fallback")
@@ -551,15 +549,11 @@ class SolverEngine:
         algorithm: Any = request.algorithm
         if self._registry is not None:
             algorithm = self._registry[request.algorithm]
-        # The request's backend wins; otherwise the engine's default
-        # (non-per-node defaults flow into the job so the cache key and
-        # execution agree with what /v1/health advertises).
-        backend = request.backend or self.backend
-        if backend == "per-node":
-            backend = ""
+        # The request's backend wins, otherwise the engine's default; it
+        # chooses how the job runs, and no cache key depends on it.
         return BatchJob(request.graph, algorithm, seed=request.seed,
                         params=dict(request.params), label=request.label,
-                        backend=backend or None)
+                        backend=request.backend or self.backend)
 
     def _new_worker_pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(max_workers=self.workers,

@@ -3,9 +3,10 @@
 A solve that arrived as ``{"delta": {"parent": fp, "ops": [...]}}``
 names its own provenance: the serving layer knows exactly which stored
 graph the request's graph was edited from, and how.  When the parent's
-report for the *same* ``(algorithm, seed, params, backend)`` is already
-cached, the engine can try to **derive** the child's report instead of
-re-running the solver:
+report for the *same* ``(algorithm, seed, params)`` is already cached —
+in the engine's memory tier or the shared disk cache, under the key
+every backend shares — the engine can try to **derive** the child's
+report instead of re-running the solver:
 
 1. **Eligibility** (:func:`eligible`).  The derivation is only sound
    when the cached independent set is guaranteed to be what a fresh run
@@ -114,20 +115,18 @@ def derive_report(parent_report: SolveReport,
 
 
 def parent_report_from_disk(cache_dir: str, request: SolveRequest, *,
-                            policy=None,
-                            default_backend: str = "per-node",
-                            ) -> Optional[SolveReport]:
+                            policy=None) -> Optional[SolveReport]:
     """The parent's report from the shared disk cache, if present.
 
     Addresses the batch engine's cache by raw coordinates (parent
-    fingerprint + the request's algorithm/seed/params/backend) — no
-    graph is materialized.  Returns ``None`` on a miss or a failed
-    cached outcome.
+    fingerprint + the request's algorithm/seed/params) — no graph is
+    materialized, and the backend plays no part: one entry serves
+    every backend.  Returns ``None`` on a miss or a failed cached
+    outcome.
     """
     from repro.simulator.batch import cached_outcome_for
 
     assert request.delta is not None
-    backend = request.backend or default_backend
     outcome = cached_outcome_for(
         cache_dir,
         fingerprint=request.delta.parent,
@@ -135,7 +134,6 @@ def parent_report_from_disk(cache_dir: str, request: SolveRequest, *,
         seed=request.seed,
         params=dict(request.params),
         policy=policy,
-        backend_name=backend or "per-node",
     )
     if outcome is None or not outcome.ok:
         return None

@@ -6,9 +6,8 @@ versioned:
 * ``POST /v1/solve`` — body is a :class:`repro.api.SolveRequest` JSON
   document (schema **v2**: the graph is a tagged union
   ``{"inline": ...} | {"ref": fp} | {"delta": {"parent": fp, "ops":
-  [...]}}``; schema-v1 bodies still work through a compatibility shim
-  and are answered with ``"deprecated": true`` in the envelope).  The
-  response envelope is ``{"schema": <request's schema>, "report": ...,
+  [...]}}``; a body with no ``schema`` or ``"schema": "v1"`` is a 400).
+  The response envelope is ``{"schema": "v2", "report": ...,
   "served": {...}}`` where ``report`` is the *canonical* solve report
   (byte-identical to ``repro.api.solve``) and ``served`` carries cache /
   coalescing / latency provenance — plus, for delta-form requests,
@@ -25,7 +24,8 @@ versioned:
   fingerprint, byte-identical to registering the edited graph from
   scratch.
 * ``GET /v1/health`` — liveness plus drain state, the worker id, and
-  the default execution backend (what the fleet router keys on).
+  the default execution backend (which no request or cache key
+  includes).
 * ``GET /v1/ready`` — readiness: 503 while draining or before the
   engine's worker pool is warm, 200 otherwise.  Liveness and readiness
   are deliberately split so a router can keep a live-but-draining
@@ -71,7 +71,6 @@ from urllib.parse import parse_qs
 
 from repro._version import __version__
 from repro.api import (
-    SCHEMA_V1,
     SCHEMA_VERSION,
     SchemaError,
     SolveRequest,
@@ -421,17 +420,11 @@ class SolverServer(HttpServer):
                 served_doc["dirty_frontier"] = served.dirty_frontier
         if self.engine.worker_id:
             served_doc["worker_id"] = self.engine.worker_id
-        envelope: Dict[str, Any] = {
-            # The response echoes the schema the *request* spoke — v1
-            # clients keep reading v1-shaped envelopes (plus a
-            # deprecation marker) through the shim.
-            "schema": request.schema_version,
+        return 200, {
+            "schema": SCHEMA_VERSION,
             "report": report_doc,
             "served": served_doc,
         }
-        if request.schema_version == SCHEMA_V1:
-            envelope["deprecated"] = True
-        return 200, envelope
 
     def _ref_is_alive(self, ref: str) -> bool:
         try:

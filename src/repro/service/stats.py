@@ -211,7 +211,6 @@ class ServiceStats:
 
     def snapshot(self, *, in_flight: int, queue_depth: int,
                  draining: bool, worker_id: str = "",
-                 backend: str = "per-node",
                  memory_cache: Optional[Dict[str, Any]] = None,
                  ) -> Dict[str, Any]:
         """The ``/v1/metrics`` JSON document."""
@@ -220,7 +219,6 @@ class ServiceStats:
         doc: Dict[str, Any] = {
             "schema": "v1",
             "worker_id": worker_id,
-            "default_backend": backend,
             **summarize(families),
             "memory_cache": memory_cache,
             "p50_latency_s": percentile(lat, 50),

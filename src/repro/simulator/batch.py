@@ -14,10 +14,13 @@ processes while keeping the three properties the test-suite depends on:
 * **Failure isolation.** A job that raises is captured as a failed
   :class:`JobOutcome` (error string preserved); the sweep always returns
   one outcome per job.
-* **Memoization.** With ``cache_dir`` set, completed jobs are written to
-  disk as JSON keyed by ``sha256(graph fingerprint | algorithm name |
-  seed | bandwidth policy | params)``; re-running a sweep only pays for
-  jobs it has not seen.  Failed jobs are never cached.
+* **Memoization.** With ``cache_dir`` set, each completed job is written
+  to disk as one ``<key>.json`` file, keyed by ``sha256(graph fingerprint
+  | algorithm name | seed | bandwidth policy | params)``; re-running a
+  sweep only pays for jobs it has not seen.  The execution backend is
+  not part of the key: backends give byte-identical outcomes, so a
+  per-node and a columnar run of the same job share one entry.  Failed
+  jobs are never cached.
 
 Algorithms are usually named (see :func:`repro.registry.algorithm_registry`)
 so that workers resolve the callable on their side of the process boundary;
@@ -113,17 +116,29 @@ class BatchJob:
 
     @property
     def algorithm_name(self) -> str:
+        """The outcome's label: :attr:`cache_name` with ``@<backend>``
+        after the algorithm for a non-default backend.  Sweeps aggregate
+        per (algorithm, backend) cell — the bench matrix shows
+        "mis-det@columnar" next to "mis-det"."""
+        backend = self.backend_name
+        return self._name("" if backend == "per-node" else f"@{backend}")
+
+    @property
+    def cache_name(self) -> str:
+        """The algorithm's name in the disk-cache key: the registry name
+        (or the callable's qualified name) plus any fault plan, never the
+        backend — backends give byte-identical outcomes, so per-node and
+        columnar runs of one job share one entry."""
+        return self._name("")
+
+    def _name(self, backend_tag: str) -> str:
         if isinstance(self.algorithm, str):
             name = self.algorithm
         else:
             fn = self.algorithm
             name = (f"{getattr(fn, '__module__', '?')}."
                     f"{getattr(fn, '__qualname__', repr(fn))}")
-        backend = self.backend_name
-        if backend != "per-node":
-            # Sweeps aggregate per (algorithm, backend) cell — the bench
-            # matrix shows "mis-det@columnar" next to "mis-det".
-            name = f"{name}@{backend}"
+        name += backend_tag
         if self.faults is not None:
             # The fault plan is part of the algorithm's identity: sweeps
             # aggregate per (algorithm, fault plan) cell, and the cache
@@ -322,8 +337,7 @@ def _policy_key(policy: Optional[BandwidthPolicy]) -> str:
 
 def cache_key_for(*, fingerprint: str, algorithm_name: str, seed: int,
                   policy: Optional[BandwidthPolicy],
-                  params: Dict[str, Any],
-                  backend_name: str = "per-node") -> str:
+                  params: Dict[str, Any]) -> str:
     """The on-disk cache key from its raw coordinates.
 
     Exists so callers that know a fingerprint but hold no graph — the
@@ -337,12 +351,6 @@ def cache_key_for(*, fingerprint: str, algorithm_name: str, seed: int,
         "policy": _policy_key(policy),
         "params": params,
     }
-    if backend_name != "per-node":
-        # Only non-default backends enter the key, so every cache entry
-        # written before backends existed stays valid.  Backends are
-        # byte-identical by contract, but the cache must still never
-        # conflate cells: a columnar entry records a columnar run.
-        doc["backend"] = backend_name
     blob = json.dumps(doc, sort_keys=True, default=repr)
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -351,16 +359,14 @@ def job_cache_key(job: BatchJob, seed: int,
                   policy: Optional[BandwidthPolicy]) -> str:
     """Hex digest identifying a job for the on-disk cache."""
     return cache_key_for(fingerprint=job.graph.fingerprint(),
-                         algorithm_name=job.algorithm_name, seed=seed,
-                         policy=policy, params=job.params,
-                         backend_name=job.backend_name)
+                         algorithm_name=job.cache_name, seed=seed,
+                         policy=policy, params=job.params)
 
 
 def cached_outcome_for(cache_dir: str, *, fingerprint: str,
                        algorithm_name: str, seed: int,
                        params: Dict[str, Any],
                        policy: Optional[BandwidthPolicy] = None,
-                       backend_name: str = "per-node",
                        ) -> Optional[JobOutcome]:
     """Load the cached outcome for raw job coordinates, if present.
 
@@ -368,8 +374,7 @@ def cached_outcome_for(cache_dir: str, *, fingerprint: str,
     """
     key = cache_key_for(fingerprint=fingerprint,
                         algorithm_name=algorithm_name, seed=seed,
-                        policy=policy, params=params,
-                        backend_name=backend_name)
+                        policy=policy, params=params)
     return _cache_load(cache_dir, key, 0)
 
 
@@ -377,29 +382,7 @@ def _cache_path(cache_dir: str, key: str) -> str:
     return os.path.join(cache_dir, f"{key}.json")
 
 
-def _binary_cache_path(cache_dir: str, key: str) -> str:
-    return os.path.join(cache_dir, f"{key}.bin")
-
-
-def _binary_min_nodes() -> int:
-    """Independent-set size above which an outcome also gets a binary
-    cache entry (``REPRO_CACHE_BINARY_MIN``, default 4096).
-
-    Small outcomes stay JSON-only: the blob framing would cost more than
-    the ``json.loads`` it saves.  Large ones — the 10⁵–10⁶-node cells —
-    parse their chosen-set array as one zero-copy read instead of a list
-    of Python ints.
-    """
-    try:
-        return int(os.environ.get("REPRO_CACHE_BINARY_MIN", "4096"))
-    except ValueError:
-        return 4096
-
-
 def _cache_load(cache_dir: str, key: str, index: int) -> Optional[JobOutcome]:
-    outcome = _binary_cache_load(cache_dir, key, index)
-    if outcome is not None:
-        return outcome
     path = _cache_path(cache_dir, key)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -412,45 +395,21 @@ def _cache_load(cache_dir: str, key: str, index: int) -> Optional[JobOutcome]:
         return None  # corrupt entry: recompute and overwrite
 
 
-def _binary_cache_load(cache_dir: str, key: str,
-                       index: int) -> Optional[JobOutcome]:
-    """The binary tier: checked before JSON, torn/corrupt entries fall
-    through (the JSON tier, or a recompute, then overwrites them)."""
-    try:
-        with open(_binary_cache_path(cache_dir, key), "rb") as fh:
-            data = fh.read()
-    except OSError:
-        return None
-    from repro import blob
-
-    try:
-        meta, arrays = blob.unpack(data)
-        if meta.get("kind") != "job_outcome":
-            return None
-        doc = dict(meta["outcome"])
-        doc["independent_set"] = arrays["independent_set"].tolist()
-        return JobOutcome.from_doc(doc, index=index, cached=True)
-    except (blob.BlobFormatError, KeyError, TypeError, ValueError):
-        return None
-
-
 def _cache_store(cache_dir: str, key: str, outcome: JobOutcome) -> None:
     # Atomic: concurrent sweeps and threads never see partial files.
     doc = {"key": key, "outcome": outcome.to_doc()}
     atomic_write(_cache_path(cache_dir, key),
                  json.dumps(doc, indent=1).encode("utf-8"))
-    if len(outcome.independent_set) >= _binary_min_nodes():
-        _binary_cache_store(cache_dir, key, outcome)
 
 
-def _binary_cache_store(cache_dir: str, key: str, outcome: JobOutcome) -> None:
-    from repro import blob
-
-    doc = outcome.to_doc()
-    chosen = np.asarray(doc.pop("independent_set"), dtype=np.int64)
-    data = blob.pack({"kind": "job_outcome", "key": key, "outcome": doc},
-                     [("independent_set", chosen)])
-    atomic_write(_binary_cache_path(cache_dir, key), data)
+def _cache_hit(hit: JobOutcome, job: BatchJob, lookup_s: float) -> JobOutcome:
+    """A loaded entry relabelled for the job that asked: its ``label``,
+    and its ``algorithm_name`` — one entry serves every backend, so a
+    columnar job reads back ``"mis-det@columnar"`` from the entry a
+    per-node run wrote as ``"mis-det"``."""
+    return _with_stage(replace(hit, label=job.label,
+                               algorithm=job.algorithm_name),
+                       "cache_lookup", lookup_s)
 
 
 # --------------------------------------------------------------------- #
@@ -584,8 +543,7 @@ def run_job(
         hit = _cache_load(cache_dir, key, index)
         lookup_s = time.perf_counter() - t0
         if hit is not None:
-            return _with_stage(replace(hit, label=job.label),
-                               "cache_lookup", lookup_s)
+            return _cache_hit(hit, job, lookup_s)
     outcome = _execute_job((index, job, seed, policy))
     if cache_dir is not None:
         outcome = _with_stage(outcome, "cache_lookup", lookup_s)
@@ -652,8 +610,7 @@ def batch_run(
             hit = _cache_load(cache_dir, keys[i], i)
             lookup_s[i] = time.perf_counter() - t0
             if hit is not None:
-                outcomes[i] = _with_stage(replace(hit, label=job.label),
-                                          "cache_lookup", lookup_s[i])
+                outcomes[i] = _cache_hit(hit, job, lookup_s[i])
                 continue
         pending.append((i, job, seed, policy))
 

@@ -17,18 +17,19 @@ from typing import Any, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["NodeStreams", "spawn_node_rngs", "spawn_node_seeds",
-           "derive_seed"]
+__all__ = ["NodeStreams", "seed_sequence", "spawn_node_rngs",
+           "spawn_node_seeds", "derive_seed"]
 
 SeedLike = Union[int, None, np.random.SeedSequence]
 
 
-def _seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
+def seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
     """``seed`` as a SeedSequence the caller does not share.
 
     A SeedSequence argument is copied, so spawning from the result never
     moves the caller's ``n_children_spawned``: a seed is a value, and
     the same object gives the same streams every time it is passed.
+    Every entry point that spawns from a caller's seed goes through here.
     """
     if isinstance(seed, np.random.SeedSequence):
         return np.random.SeedSequence(
@@ -46,10 +47,10 @@ def spawn_node_seeds(seed: SeedLike, node_ids: Sequence[int]) -> Dict[int, np.ra
     regardless of input order.  The runner hands these to
     :class:`~repro.simulator.context.NodeContext`, which only pays for
     Generator construction if the node actually draws randomness.
-    A SeedSequence ``seed`` is left unchanged (see :func:`_seed_sequence`).
+    A SeedSequence ``seed`` is left unchanged (see :func:`seed_sequence`).
     """
     ordered = sorted(node_ids)
-    return dict(zip(ordered, _seed_sequence(seed).spawn(len(ordered))))
+    return dict(zip(ordered, seed_sequence(seed).spawn(len(ordered))))
 
 
 def spawn_node_rngs(seed: SeedLike, node_ids: Sequence[int]) -> Dict[int, np.random.Generator]:
@@ -70,10 +71,11 @@ def derive_seed(seed: SeedLike, index: int) -> np.random.SeedSequence:
 
     Phase-based algorithms (boosting, the arboricity peeling) run many
     sub-simulations; deriving each phase's seed from the master seed keeps
-    the whole composition reproducible from one integer.
+    the whole composition reproducible from one integer.  A SeedSequence
+    ``seed`` is left unchanged, so ``derive_seed(ss, i)`` is the same
+    child however often it is called.
     """
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return ss.spawn(index + 1)[index]
+    return seed_sequence(seed).spawn(index + 1)[index]
 
 
 # --------------------------------------------------------------------- #

@@ -11,12 +11,19 @@ summation order — any reordering shows up here as a last-ulp mismatch.
 crosses 2**32 and the stream column's draws switch from 32-bit to
 64-bit Lemire; seeds include SeedSequences with spawn keys and children
 already spawned, passed as the same object to both backends.
+
+The same contract one level up: every registry algorithm's canonical
+report (``repro.api.solve(...).to_json()``) is byte-identical on both
+backends.  Request and disk-cache keys leave the backend out, so a
+per-node and a columnar solve share one cache entry; this property is
+what keeps that sharing honest.
 """
 
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
+from repro.api import solve
 from repro.coloring.random_trial import RandomTrialColoring
 from repro.core.good_nodes import GoodNodesProtocol
 from repro.core.sparsify import SamplingProtocol
@@ -24,6 +31,7 @@ from repro.graphs import WeightedGraph
 from repro.mis.deterministic import LocalMinimaMIS
 from repro.mis.ghaffari import GhaffariMIS
 from repro.mis.luby import LubyMIS
+from repro.registry import algorithm_registry
 from repro.simulator.network import Network
 from repro.simulator.runner import run
 
@@ -80,3 +88,16 @@ def test_columnar_backend_is_byte_identical(g, fi, seed, n_bound):
     assert col.outputs == base.outputs
     assert col.metrics.to_dict() == base.metrics.to_dict()
     assert col.n_bound == base.n_bound
+
+
+REGISTRY_NAMES = sorted(algorithm_registry())
+
+
+@given(g=weighted_graphs(), seed=st.integers(min_value=0, max_value=2 ** 31 - 1))
+@settings(max_examples=100, deadline=None)
+def test_every_registry_report_is_byte_identical_across_backends(g, seed):
+    for name in REGISTRY_NAMES:
+        base = solve(g, name, seed=seed, raise_on_error=False)
+        col = solve(g, name, seed=seed, backend="columnar",
+                    raise_on_error=False)
+        assert col.to_json() == base.to_json(), name

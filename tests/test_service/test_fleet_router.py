@@ -427,8 +427,8 @@ class TestRouterEdges:
         fleet = start_fleet(workers=1, threaded=True)
         try:
             body = json.dumps({
-                "schema": "v1",
-                "graph": {"spec": "gnp:2000000,0.001"},
+                "schema": "v2",
+                "graph": {"inline": {"spec": "gnp:2000000,0.001"}},
                 "algorithm": "thm2",
             }).encode()
             status, doc = http(fleet.port, "POST", "/v1/solve", body)

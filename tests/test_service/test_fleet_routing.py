@@ -9,6 +9,7 @@ for the same key.  They must never depend on ``PYTHONHASHSEED``.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -92,6 +93,16 @@ class TestShardForRequest:
         assert shard_for_request(request_, 2) == 1
         assert shard_for_request(request_, 3) == 0
         assert shard_for_request(request_, 4) == 3
+
+    def test_backend_twins_share_the_pinned_key(self, request_):
+        # The backend chooses how a request runs, not what it computes:
+        # a columnar twin keys, coalesces and shards like the original.
+        for backend in ("per-node", "columnar"):
+            twin = replace(request_, backend=backend)
+            assert twin.key() == (
+                "b505646fcb7d669bc4bb2735eca7f7f2c7c6beff18ae88268e6f3f2609547fff"
+            )
+            assert shard_for_request(twin, 4) == 3
 
     def test_equal_requests_share_a_shard(self, request_):
         graph = uniform_weights(gnp(24, 0.15, seed=1), 1, 10, seed=2)

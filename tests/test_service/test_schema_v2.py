@@ -1,11 +1,9 @@
-"""Schema v2 and the v1 compatibility shim.
+"""Schema v2, the only request vocabulary.
 
-The redesign's promise: v2 is a *vocabulary* change, not a semantic
-one.  A v1-shaped body parses through the shim (with a deprecation
-marker), produces the byte-identical request key, shares cache entries
-and coalescing with its v2 twin, and yields the same report.  Schema
-v2's tagged graph union (``inline`` / ``ref`` / ``delta``) must carry
-exactly one tag.
+Schema v2's tagged graph union (``inline`` / ``ref`` / ``delta``) must
+carry exactly one tag.  A v1-shaped body — no ``schema``, or
+``"schema": "v1"`` — is refused with a 400 that points at the v2 union,
+the same way through the worker server and through the fleet router.
 """
 
 from __future__ import annotations
@@ -15,15 +13,16 @@ import json
 import pytest
 
 from repro.api import (
-    SCHEMA_V1,
     SCHEMA_VERSION,
     SchemaError,
     SolveRequest,
     delta_route_key_from_doc,
+    graph_from_doc,
 )
 from repro.graphs import gnp, uniform_weights
 from repro.graphs.delta import GraphDelta, apply_delta
 from repro.graphs.store import GraphRef, GraphStore
+from repro.service.fleet import start_fleet
 
 from .test_server import ServerThread, http
 
@@ -56,7 +55,7 @@ def _v2_doc(g, **over):
 class TestV2Parsing:
     def test_inline_form(self, instance):
         req = SolveRequest.from_doc(_v2_doc(instance))
-        assert req.schema_version == SCHEMA_VERSION
+        assert req.to_doc()["schema"] == SCHEMA_VERSION
         assert req.graph.fingerprint() == instance.fingerprint()
         assert req.delta is None
 
@@ -110,48 +109,26 @@ class TestV2Parsing:
         assert again.to_doc() == req.to_doc()
 
 
-class TestV1Shim:
-    def test_missing_schema_parses_as_v1_with_deprecation(self, instance):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            req = SolveRequest.from_doc(_v1_doc(instance))
-        assert req.schema_version == SCHEMA_V1
-        assert req.graph.fingerprint() == instance.fingerprint()
+class TestV1Refused:
+    def test_missing_schema_is_refused(self, instance):
+        with pytest.raises(SchemaError, match="no schema.*Migrating from v1"):
+            SolveRequest.from_doc(_v1_doc(instance))
 
-    def test_explicit_v1_schema_also_shimmed(self, instance):
-        with pytest.warns(DeprecationWarning):
-            req = SolveRequest.from_doc(_v1_doc(instance, schema="v1"))
-        assert req.schema_version == SCHEMA_V1
+    def test_explicit_v1_schema_is_refused(self, instance):
+        with pytest.raises(SchemaError,
+                           match="unsupported schema 'v1'.*inline"):
+            SolveRequest.from_doc(_v1_doc(instance, schema="v1"))
 
-    def test_request_keys_byte_identical_across_schemas(self, instance):
-        """The shim's load-bearing promise: same computation, same key —
-        so v1 and v2 callers share cache entries and coalesce."""
-        with pytest.warns(DeprecationWarning):
-            v1 = SolveRequest.from_doc(_v1_doc(instance))
-        v2 = SolveRequest.from_doc(_v2_doc(instance))
-        assert v1.key() == v2.key()
-
-    def test_v1_ref_shape_keys_like_v2_ref(self, instance, tmp_path):
+    def test_v1_ref_shape_is_refused(self, instance, tmp_path):
         store = GraphStore(tmp_path)
         ref = store.put(instance)
-        with pytest.warns(DeprecationWarning):
-            v1 = SolveRequest.from_doc(
-                _v1_doc(instance, graph={"graph_ref": ref.ref}),
+        with pytest.raises(SchemaError, match="exactly one"):
+            SolveRequest.from_doc(
+                _v2_doc(instance, graph={"graph_ref": ref.ref}),
                 store=store)
-        v2 = SolveRequest.from_doc(
-            _v2_doc(instance, graph={"ref": ref.ref}), store=store)
-        assert v1.key() == v2.key()
+        with pytest.raises(SchemaError, match="nodes/edges"):
+            graph_from_doc({"graph_ref": ref.ref}, store=store)
         store.close()
-
-    def test_v1_round_trips_in_legacy_shapes(self, instance):
-        with pytest.warns(DeprecationWarning):
-            req = SolveRequest.from_doc(_v1_doc(instance))
-        doc = req.to_doc()
-        assert doc["schema"] == SCHEMA_V1
-        # Legacy shape: bare inline doc, not the tagged union.
-        assert "nodes" in doc["graph"] and "inline" not in doc["graph"]
-        with pytest.warns(DeprecationWarning):
-            again = SolveRequest.from_doc(doc)
-        assert again.key() == req.key()
 
 
 class TestDeltaRouteKey:
@@ -176,18 +153,28 @@ class TestDeltaRouteKey:
 
 
 class TestServedEnvelope:
-    def test_v1_body_served_with_deprecation_marker(self, instance):
-        body_v1 = json.dumps(_v1_doc(instance)).encode()
+    def test_v1_bodies_refused_on_both_doors(self, instance):
+        bodies = [json.dumps(_v1_doc(instance)).encode(),
+                  json.dumps(_v1_doc(instance, schema="v1")).encode()]
         body_v2 = json.dumps(_v2_doc(instance)).encode()
         with ServerThread(memory_cache=16) as srv:
-            s1, env1 = http(srv.port, "POST", "/v1/solve", body_v1)
-            s2, env2 = http(srv.port, "POST", "/v1/solve", body_v2)
-            assert s1 == s2 == 200
-            assert env1["schema"] == SCHEMA_V1
-            assert env1["deprecated"] is True
-            assert env2["schema"] == SCHEMA_VERSION
-            assert "deprecated" not in env2
-            # Identical reports, and the v2 request hit the cache entry
-            # the v1 request populated: the keys really are identical.
-            assert env1["report"] == env2["report"]
-            assert env2["served"]["cached"] is True
+            worker = [http(srv.port, "POST", "/v1/solve", body)
+                      for body in bodies + [body_v2]]
+        fleet = start_fleet(workers=2, threaded=True)
+        try:
+            routed = [http(fleet.port, "POST", "/v1/solve", body)
+                      for body in bodies + [body_v2]]
+        finally:
+            fleet.close()
+        for replies in (worker, routed):
+            for status, doc in replies[:2]:
+                assert status == 400
+                assert doc["error"]["code"] == "bad_request"
+                assert "Migrating from v1" in doc["error"]["message"]
+            status, env = replies[2]
+            assert status == 200
+            assert env["schema"] == SCHEMA_VERSION
+            assert "deprecated" not in env
+        # The same refusal, word for word, from either door.
+        assert [doc for _, doc in worker[:2]] == [doc for _, doc in routed[:2]]
+        assert worker[2][1]["report"] == routed[2][1]["report"]

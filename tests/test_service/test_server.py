@@ -144,7 +144,7 @@ class TestSolveEndpoint:
         (b'{"schema": "v9", "graph": {}, "algorithm": "thm2"}',
          "unsupported schema"),
         (b'{"schema": "v1", "graph": {"spec": "nosuch:1"}, '
-         b'"algorithm": "thm2"}', "unknown graph kind"),
+         b'"algorithm": "thm2"}', "Migrating from v1"),
         (b'{"schema": "v2", "graph": {"spec": "gnp:8,0.2"}, '
          b'"algorithm": "thm2"}', "exactly one of inline/ref/delta"),
     ])

@@ -215,59 +215,6 @@ class TestObservability:
         assert res.outcomes[0].ok
 
 
-class TestBinaryCacheTier:
-    """The ``<key>.bin`` tier in front of ``<key>.json``: written for
-    large chosen sets, read first, torn entries fall through."""
-
-    def _run_with_threshold(self, graph, tmp_path, monkeypatch, threshold):
-        monkeypatch.setenv("REPRO_CACHE_BINARY_MIN", str(threshold))
-        cache = str(tmp_path / "cache")
-        jobs = [BatchJob(graph, "ranking") for _ in range(3)]
-        cold = batch_run(jobs, master_seed=9, cache_dir=cache)
-        return cache, jobs, cold
-
-    def test_binary_entries_written_above_threshold(self, graph, tmp_path,
-                                                    monkeypatch):
-        cache, jobs, cold = self._run_with_threshold(
-            graph, tmp_path, monkeypatch, 1)
-        bins = [f for f in os.listdir(cache) if f.endswith(".bin")]
-        jsons = [f for f in os.listdir(cache) if f.endswith(".json")]
-        assert len(bins) == len(jsons) == 3
-
-    def test_small_outcomes_stay_json_only(self, graph, tmp_path,
-                                           monkeypatch):
-        cache, _, _ = self._run_with_threshold(
-            graph, tmp_path, monkeypatch, 10**6)
-        assert not any(f.endswith(".bin") for f in os.listdir(cache))
-
-    def test_binary_tier_roundtrip_is_byte_identical(self, graph, tmp_path,
-                                                     monkeypatch):
-        cache, jobs, cold = self._run_with_threshold(
-            graph, tmp_path, monkeypatch, 1)
-        warm = batch_run(jobs, master_seed=9, cache_dir=cache)
-        assert warm.cached_jobs == 3
-        for a, b in zip(cold.outcomes, warm.outcomes):
-            da, db = a.to_doc(), b.to_doc()
-            assert json.dumps(da, sort_keys=True) == json.dumps(
-                db, sort_keys=True)
-
-    def test_torn_binary_entry_falls_through_to_json(self, graph, tmp_path,
-                                                     monkeypatch):
-        cache, jobs, cold = self._run_with_threshold(
-            graph, tmp_path, monkeypatch, 1)
-        for name in os.listdir(cache):
-            if name.endswith(".bin"):
-                path = os.path.join(cache, name)
-                data = open(path, "rb").read()
-                with open(path, "wb") as fh:
-                    fh.write(data[: len(data) // 2])  # torn write
-        warm = batch_run(jobs, master_seed=9, cache_dir=cache)
-        assert warm.cached_jobs == 3  # JSON tier served every job
-        for a, b in zip(cold.outcomes, warm.outcomes):
-            assert json.dumps(a.to_doc(), sort_keys=True) == json.dumps(
-                b.to_doc(), sort_keys=True)
-
-
 class TestGraphRefJobs:
     """BatchJob.graph may be a GraphRef: workers attach the shared
     store entry instead of unpickling the whole graph per job."""
@@ -352,8 +299,7 @@ class TestConcurrentWriters:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
 
-    def test_cache_store_same_key(self, graph, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_BINARY_MIN", "1")  # both tiers
+    def test_cache_store_same_key(self, graph, tmp_path):
         outcome = batch_run([BatchJob(graph, "ranking")],
                             master_seed=5).outcomes[0]
         key = "ab" * 32
@@ -362,7 +308,8 @@ class TestConcurrentWriters:
         loaded = _cache_load(cache, key, 0)
         assert loaded is not None
         assert loaded.signature() == outcome.signature()
-        assert sorted(os.listdir(cache)) == [f"{key}.bin", f"{key}.json"]
+        # One disk entry per key: the JSON file and nothing beside it.
+        assert os.listdir(cache) == [f"{key}.json"]
 
     def test_atomic_write_same_path(self, tmp_path):
         path = tmp_path / "entry.rwg"

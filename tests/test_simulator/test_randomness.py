@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from repro.coloring.random_trial import RandomTrialColoring
-from repro.core.sparsify import SamplingProtocol
+from repro.core.baselines import bar_yehuda_maxis
+from repro.core.boosting import boost
+from repro.core.good_nodes import good_nodes_approx
+from repro.core.low_arboricity import low_arboricity_maxis
+from repro.core.sparsify import SamplingProtocol, sparsified_approx
 from repro.graphs.generators import gnp
+from repro.graphs.weights import integer_weights
+from repro.mis.coloring_based import coloring_mis
 from repro.mis.ghaffari import GhaffariMIS
 from repro.mis.luby import LubyMIS
 from repro.simulator import derive_seed, spawn_node_rngs
@@ -69,3 +75,42 @@ def test_one_seed_sequence_gives_one_report_on_both_backends(factory):
     for res in results[1:]:
         assert res.outputs == results[0].outputs
         assert res.metrics.to_dict() == results[0].metrics.to_dict()
+
+
+def _boost(graph, *, seed):
+    def inner(g, *, seed):
+        return good_nodes_approx(g, seed=seed)
+
+    return boost(graph, inner, eps=0.5, c=8.0, seed=seed)
+
+
+ENTRY_POINTS = {
+    "sparsified_approx": sparsified_approx,
+    "boost": _boost,
+    "good_nodes_approx": good_nodes_approx,
+    "low_arboricity_maxis": (
+        lambda graph, *, seed: low_arboricity_maxis(graph, 0.5, seed=seed)),
+    "bar_yehuda_maxis": bar_yehuda_maxis,
+    "coloring_mis": coloring_mis,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_one_seed_sequence_gives_one_result_per_entry_point(name):
+    """Algorithm entry points that spawn phase seeds read a SeedSequence
+    seed too: the same object twice gives one result, as an int does."""
+    solver = ENTRY_POINTS[name]
+    g = integer_weights(gnp(30, 0.15, seed=2), 20, seed=3)
+    ss = np.random.SeedSequence(9, spawn_key=(4, 2), n_children_spawned=7)
+    first, second = solver(g, seed=ss), solver(g, seed=ss)
+    assert ss.n_children_spawned == 7
+    assert first.independent_set == second.independent_set
+    assert first.metrics.as_tuple() == second.metrics.as_tuple()
+
+
+def test_derive_seed_reads_a_seed_sequence():
+    ss = np.random.SeedSequence(9, spawn_key=(4,), n_children_spawned=7)
+    keys = [derive_seed(ss, i).spawn_key for i in range(3)]
+    assert keys == [(4, 7), (4, 8), (4, 9)]
+    assert [derive_seed(ss, i).spawn_key for i in range(3)] == keys
+    assert ss.n_children_spawned == 7
