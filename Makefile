@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint bench bench-smoke bench-perf bench-columnar backend-equivalence http-wire service-smoke fleet-smoke graphplane-smoke delta-smoke slo-check experiments examples coverage clean
+.PHONY: install test lint bench bench-smoke bench-perf bench-columnar backend-equivalence http-wire service-smoke fleet-smoke graphplane-smoke delta-smoke experiments examples coverage clean
 
 install:
 	pip install -e .
@@ -76,10 +76,14 @@ http-wire:
 
 # Solver-service smoke: start `repro serve` on an ephemeral port, check
 # /v1/health, assert one fixed-seed HTTP solve is byte-identical to
-# repro.api.solve, run `repro loadgen` (8 clients, 5 s) against it —
-# which re-certifies every unique report — then SIGTERM and assert a
-# clean drain.  Writes BENCH_service.json for the CI artifact upload.
-# See benchmarks/service_smoke.py and docs/service.md.
+# repro.api.solve, run the open-loop load client in-process (uniform
+# arrivals, 20 req/s for 5 s, over 504 zoo requests so most requests
+# run the solver; every unique report re-certified), gate that run on
+# the SLOs (p50 <= 500 ms, p95 <= 2000 ms, p99 <= 5000 ms, error rate
+# <= 2%, achieved rate >= 5 req/s, solver executions >= 80% of
+# completed requests), then SIGTERM and assert a clean drain.  Writes
+# bench_service_current.json for the CI artifact upload.  See
+# benchmarks/service_smoke.py and docs/service.md.
 service-smoke: export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 service-smoke:
 	$(PYTHON) benchmarks/service_smoke.py --keep-bench
@@ -121,16 +125,6 @@ graphplane-smoke:
 delta-smoke: export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 delta-smoke:
 	$(PYTHON) benchmarks/delta_smoke.py --keep-bench
-
-# Tail-latency SLO gate: evaluate benchmarks/slo_spec.json against the
-# committed BENCH_service.json baseline (fails if the spec was tightened
-# below what the baseline measures), then against a fresh loadgen burst
-# on a just-started server.  Writes slo_report.json (the CI artifact);
-# exits non-zero on any violated objective.  See benchmarks/slo_check.py
-# and docs/observability.md.
-slo-check: export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
-slo-check:
-	$(PYTHON) benchmarks/slo_check.py --duration 5
 
 # Regenerate every experiment table (E1..E13) to stdout.
 experiments:

@@ -18,7 +18,8 @@ the way CI runs it:
 4. assert one fixed-seed routed response is byte-identical to
    ``repro.api.solve``;
 5. run ``repro loadgen --arrival poisson`` (open loop, seeded) against
-   the fleet, which re-checks report consistency and writes the
+   the fleet, which certifies every unique report, checks that no key
+   came back as two different byte strings, and writes the
    latency/goodput document;
 6. SIGTERM the router and assert the whole fleet drains and exits 0.
 
@@ -154,6 +155,9 @@ def main() -> int:
         bench = json.loads(open(bench_path, encoding="utf-8").read())
         assert bench["completed"] > 0, bench
         assert bench["divergent_reports"] == 0, bench
+        v = bench["verification"]
+        assert v["failures"] == [], v["failures"]
+        assert v["verified"] == bench["unique_reports"] > 0, v
 
         fleet.stop()
         rc = fleet.proc.wait(timeout=60.0)
@@ -170,7 +174,8 @@ def main() -> int:
               f"(coalesced={metrics['coalesced']}, "
               f"memory={metrics['memory_cache_hits']}), "
               f"{bench['completed']} open-loop requests at goodput "
-              f"{bench['goodput_ratio']:.2f}, drain clean")
+              f"{bench['goodput_ratio']:.2f}, {v['verified']} reports "
+              f"certified, drain clean")
         return 0
     finally:
         if fleet is not None:

@@ -23,8 +23,9 @@ Package map:
   10, 12) plus baselines, an exact solver, and verification;
 * :mod:`repro.lowerbound` — the Theorem 4 reduction (Figure 1);
 * :mod:`repro.analysis` — concentration bounds and trial statistics;
-* :mod:`repro.bench` — the E1–E13 experiment suite;
-* :mod:`repro.api` — the stable solve/report contract (schema v1);
+* :mod:`repro.bench` — the E1–E13 experiment suite, the perf gate, and
+  the service's open-loop load client;
+* :mod:`repro.api` — the stable solve/report contract (schema v2);
 * :mod:`repro.service` — the solver daemon behind ``repro serve``.
 """
 

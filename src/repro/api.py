@@ -45,7 +45,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.exceptions import GraphFormatError, ReproError
+from repro.exceptions import GraphError, GraphFormatError, ReproError
 from repro.graphs.delta import DeltaConflictError, GraphDelta, apply_delta_info
 from repro.graphs.io import from_doc as _graph_from_inline_doc
 from repro.graphs.io import to_doc as _graph_to_inline_doc
@@ -145,25 +145,37 @@ def graph_from_doc(doc: Any, *, store: Optional[GraphStore] = None):
 
 
 def _inline_graph(doc: Any) -> WeightedGraph:
-    """Decode an inline graph document (nodes/edges or a spec)."""
+    """Decode an inline graph document (nodes/edges or a spec).
+
+    Every way the document can fail to describe a graph — a spec that
+    does not parse or names out-of-range values, a negative or NaN
+    weight, a self-loop, an edge to an unknown node — is a
+    :class:`SchemaError`, and so is a ``file:`` spec: a request must not
+    read files on the host that decodes it.
+    """
     if not isinstance(doc, dict):
         raise SchemaError(f"graph must be an object, got {type(doc).__name__}")
     if "spec" in doc:
+        spec = str(doc["spec"])
+        if spec.partition(":")[0] == "file":
+            raise SchemaError("graph spec kind 'file' is not accepted in a "
+                              "request; send the graph inline or register "
+                              "it with POST /v1/graphs")
         seed = doc.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise SchemaError(f"graph spec seed must be an int, got {seed!r}")
         try:
-            graph = graph_from_spec(str(doc["spec"]), seed)
+            graph = graph_from_spec(spec, seed)
             weights = doc.get("weights")
             if weights is not None:
                 graph = weights_from_spec(str(weights), graph, seed + 1)
-        except ValueError as exc:
+        except (ValueError, GraphError) as exc:
             raise SchemaError(str(exc)) from exc
         return graph
     if "nodes" in doc and "edges" in doc:
         try:
             return _graph_from_inline_doc(doc)
-        except GraphFormatError as exc:
+        except GraphError as exc:
             raise SchemaError(str(exc)) from exc
     raise SchemaError(
         "graph must carry either nodes/edges (inline) or a spec"

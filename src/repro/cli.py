@@ -14,9 +14,9 @@ Subcommands::
     python -m repro algorithms
     python -m repro serve --port 8008 --workers 4 --cache .serve-cache
     python -m repro fleet --port 8009 --workers 4 --cache .fleet-cache
-    python -m repro loadgen --port 8008 --clients 8 --duration 5
-    python -m repro loadgen --arrival poisson --rate 100 --arrival-seed 7
-    python -m repro loadgen --graph-ref --clients 8 --duration 5
+    python -m repro loadgen --port 8008 --rate 50 --duration 5
+    python -m repro loadgen --arrival bursty --rate 100 --arrival-seed 7
+    python -m repro loadgen --graph-ref --arrival uniform --rate 20
 
 Graph specs: ``gnp:n,p`` | ``regular:n,d`` | ``tree:n`` | ``grid:r,c`` |
 ``cycle:n`` | ``path:n`` | ``geometric:n,radius`` | ``caterpillar:spine,legs``
@@ -589,69 +589,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    """Benchmark a service: closed loop (default), open loop, or churn."""
-    if args.churn:
-        return _cmd_loadgen_churn(args)
-    if args.arrival != "closed":
-        return _cmd_loadgen_open(args)
-    from repro.service import run_loadgen
-
-    try:
-        doc = run_loadgen(
-            host=args.host,
-            port=args.port,
-            clients=args.clients,
-            duration_s=args.duration,
-            out_path=args.out,
-            verify=not args.no_verify,
-            slo=args.slo,
-            graph_ref=args.graph_ref,
-        )
-    except (ValueError, TypeError, FileNotFoundError) as exc:
-        raise SystemExit(str(exc))
-    except (ConnectionError, OSError) as exc:
-        raise SystemExit(
-            f"cannot reach service at {args.host}:{args.port}: {exc}"
-        )
-    lat = doc["latency"]
-    print(f"completed: {doc['completed']}/{doc['sent']} "
-          f"({doc['throughput_rps']:.1f} req/s over {doc['elapsed_s']:.1f}s)")
-    print(f"latency: p50 {lat['p50_s'] * 1e3:.1f} ms, "
-          f"p95 {lat['p95_s'] * 1e3:.1f} ms, "
-          f"p99 {lat['p99_s'] * 1e3:.1f} ms")
-    print(f"served: {doc['served']['cached']} cached, "
-          f"{doc['served']['coalesced']} coalesced, "
-          f"{doc['served']['with_trace_id']} traced; "
-          f"status mix {doc['status_counts']}")
-    v = doc["verification"]
-    if v["enabled"]:
-        print(f"verified: {v['verified']}/{doc['unique_reports']} unique "
-              f"reports certified")
-        for failure in v["failures"]:
-            print(f"  FAIL {failure}")
-    if doc["divergent_reports"]:
-        print(f"  FAIL {doc['divergent_reports']} keys returned "
-              f"non-identical report bytes")
-    slo_violated = False
-    if "slo" in doc:
-        from repro.service.slo import SLOCheck, SLOReport
-
-        report = SLOReport(
-            spec_name=doc["slo"]["spec"],
-            checks=[SLOCheck(**c) for c in doc["slo"]["checks"]],
-        )
-        print(report.render())
-        slo_violated = not report.holds
-    if args.out:
-        print(f"wrote {args.out}")
-    failed = (doc["completed"] == 0 or doc["divergent_reports"] > 0
-              or (v["enabled"] and v["failures"]) or slo_violated)
-    return 1 if failed else 0
-
-
-def _cmd_loadgen_open(args: argparse.Namespace) -> int:
-    """Open-loop benchmark at a fixed offered rate."""
-    from repro.service import run_open_loop
+    """Open-loop benchmark at a fixed offered rate; certifies every
+    unique report it receives."""
+    from repro.bench.loadgen import run_open_loop
 
     try:
         doc = run_open_loop(
@@ -684,49 +624,22 @@ def _cmd_loadgen_open(args: argparse.Namespace) -> int:
           f"p95 {lat['p95_s'] * 1e3:.1f} ms, "
           f"p99 {lat['p99_s'] * 1e3:.1f} ms")
     print(f"served: {doc['served']['cached']} cached, "
-          f"{doc['served']['coalesced']} coalesced; "
+          f"{doc['served']['coalesced']} coalesced, "
+          f"{doc['served']['with_trace_id']} traced; "
           f"status mix {doc['status_counts']}")
+    v = doc["verification"]
+    print(f"verified: {v['verified']}/{doc['unique_reports']} unique "
+          f"reports certified")
+    for failure in v["failures"]:
+        print(f"  FAIL {failure}")
+    if doc["divergent_reports"]:
+        print(f"  FAIL {doc['divergent_reports']} keys returned "
+              f"non-identical report bytes")
     if args.out:
         print(f"wrote {args.out}")
-    failed = doc["completed"] == 0 or doc["divergent_reports"] > 0
+    failed = (doc["completed"] == 0 or doc["divergent_reports"] > 0
+              or v["failures"])
     return 1 if failed else 0
-
-
-def _cmd_loadgen_churn(args: argparse.Namespace) -> int:
-    """Churn benchmark: a mutating graph under a deterministic edit
-    schedule, solved by delta every epoch."""
-    from repro.service import run_churn
-
-    out = args.out if args.out != "BENCH_service.json" else "BENCH_churn.json"
-    try:
-        doc = run_churn(
-            host=args.host,
-            port=args.port,
-            epochs=args.churn_epochs,
-            edits_per_epoch=args.churn_edits,
-            crash_fraction=args.churn_crash_fraction,
-            algorithm=args.churn_algorithm,
-            seed=args.arrival_seed,
-            out_path=out or None,
-        )
-    except (ValueError, TypeError) as exc:
-        raise SystemExit(str(exc))
-    except (ConnectionError, OSError) as exc:
-        raise SystemExit(
-            f"cannot reach service at {args.host}:{args.port}: {exc}"
-        )
-    print(f"epochs: {doc['epochs']} ({doc['incremental']} incremental, "
-          f"{doc['full']} full, {doc['failed']} failed; "
-          f"incremental rate {doc['incremental_rate'] * 100:.0f}%)")
-    df = doc["dirty_frontier"]
-    print(f"dirty frontier: mean {df['mean']:.1f}, max {df['max']} "
-          f"over {df['observed']} delta solves")
-    lat = doc["latency"]
-    print(f"latency: p50 {lat['p50_s'] * 1e3:.1f} ms, "
-          f"p95 {lat['p95_s'] * 1e3:.1f} ms")
-    if out:
-        print(f"wrote {out}")
-    return 1 if doc["failed"] else 0
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -967,30 +880,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_load = sub.add_parser(
         "loadgen",
-        help="closed-loop benchmark against a running `repro serve`; "
-             "verifies every unique report and writes BENCH_service.json",
+        help="open-loop benchmark against a running `repro serve` or "
+             "`repro fleet`; certifies every unique report",
     )
     p_load.add_argument("--host", default="127.0.0.1")
     p_load.add_argument("--port", type=int, default=8008)
-    p_load.add_argument("--clients", type=int, default=8,
-                        help="concurrent closed-loop clients")
     p_load.add_argument("--duration", type=float, default=5.0, metavar="S",
-                        help="seconds to run")
-    p_load.add_argument("--out", default="BENCH_service.json",
-                        help="benchmark document path ('' to skip writing)")
-    p_load.add_argument("--no-verify", action="store_true",
-                        help="skip offline certification of unique reports")
-    p_load.add_argument("--slo", default=None, metavar="SPEC.json",
-                        help="evaluate an SLO spec against the run; verdicts "
-                             "land in the document and violations exit 1")
-    p_load.add_argument("--arrival",
-                        choices=["closed", "poisson", "bursty", "uniform"],
-                        default="closed",
-                        help="closed: classic closed loop; otherwise "
-                             "open-loop arrivals fired on a deterministic "
+                        help="seconds of offered load")
+    p_load.add_argument("--out", default=None,
+                        help="write the run document to this path")
+    p_load.add_argument("--arrival", choices=["poisson", "bursty", "uniform"],
+                        default="poisson",
+                        help="arrival process, fired on a deterministic "
                              "schedule at --rate req/s")
     p_load.add_argument("--rate", type=float, default=50.0, metavar="RPS",
-                        help="offered load for open-loop arrivals")
+                        help="offered load")
     p_load.add_argument("--arrival-seed", type=int, default=0, metavar="S",
                         help="seed of the arrival schedule (same seed => "
                              "bit-identical offered load)")
@@ -1000,24 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="register every unique pool graph once via "
                              "POST /v1/graphs, then solve by graph_ref "
                              "(tiny bodies, zero-copy attach on the server)")
-    p_load.add_argument("--churn", action="store_true",
-                        help="churn benchmark: register one graph, then "
-                             "mutate it every epoch (reweighting + "
-                             "crash/restart) and solve by delta; reports "
-                             "the incremental-vs-full serving mix and "
-                             "writes BENCH_churn.json")
-    p_load.add_argument("--churn-epochs", type=int, default=20, metavar="N",
-                        help="mutation epochs for --churn")
-    p_load.add_argument("--churn-edits", type=int, default=4, metavar="K",
-                        help="set_weight edits per reweighting epoch")
-    p_load.add_argument("--churn-crash-fraction", type=float, default=0.25,
-                        metavar="P",
-                        help="fraction of epochs that crash/restart a node "
-                             "(topology edits — always full re-solves)")
-    p_load.add_argument("--churn-algorithm", default="mis-luby",
-                        help="algorithm for --churn solves (weight-"
-                             "oblivious MIS algorithms can be served "
-                             "incrementally)")
     p_load.set_defaults(func=_cmd_loadgen)
 
     p_info = sub.add_parser("info", help="describe an instance")

@@ -18,11 +18,25 @@ Weight specs: ``unit`` | ``uniform:lo,hi`` | ``integers:W`` |
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.graphs.weighted_graph import WeightedGraph
 
-__all__ = ["declared_nodes", "graph_from_spec", "weights_from_spec"]
+__all__ = ["DEFAULT_SPECS", "declared_nodes", "graph_from_spec",
+           "weights_from_spec"]
+
+# The generator zoo the load client and servebench draw their requests
+# from: (graph spec, weight spec) pairs, every instance under the exact
+# solver's node limit so each report can be certified against true OPT.
+DEFAULT_SPECS: Tuple[Tuple[str, str], ...] = (
+    ("gnp:24,0.15", "uniform:1,20"),
+    ("gnp:40,0.08", "integers:50"),
+    ("regular:30,3", "uniform:1,10"),
+    ("tree:40", "integers:100"),
+    ("cycle:36", "uniform:1,5"),
+    ("grid:6,6", "unit"),
+    ("caterpillar:18,1", "uniform:1,8"),
+)
 
 
 def declared_nodes(spec: str) -> Optional[int]:

@@ -1,4 +1,4 @@
-"""The solver service: an asyncio daemon serving the v1 solve contract.
+"""The solver service: an asyncio daemon serving the v2 solve contract.
 
 Layers:
 
@@ -11,20 +11,18 @@ Layers:
   over that codec (``repro serve``).
 * :mod:`repro.service.cache` — the bounded LRU behind the engine's
   memory tier and the server's parse cache.
-* :mod:`repro.service.loadgen` — the closed-loop benchmark client
-  (``repro loadgen``), open-loop arrivals, and the churn benchmark
-  against a mutating graph (``repro loadgen --churn``).
 * :mod:`repro.service.incremental` — eligibility, certification, and
   derivation of incremental re-solves for delta-form requests.
 * :mod:`repro.service.errors` — the unified error taxonomy every
   non-200 response speaks (worker and router alike).
 * :mod:`repro.service.stats` — the one metric registry and the latency
   reservoir behind ``/v1/metrics`` (JSON + Prometheus).
-* :mod:`repro.service.slo` — declarative service-level objectives and
-  the verdict machinery ``make slo-check`` gates CI on.
 * :mod:`repro.service.fleet` — the sharded multi-worker fleet
   (``repro fleet``): router, the one worker pool and its subprocess
   launcher, two-tier cache, and metric aggregation.
+
+The load client (``repro loadgen``) is not part of the service: it is
+:mod:`repro.bench.loadgen`, and nothing here imports it.
 """
 
 from repro.service.engine import (
@@ -34,35 +32,16 @@ from repro.service.engine import (
     SolverEngine,
     UnknownAlgorithmError,
 )
-from repro.service.loadgen import (
-    build_request_pool,
-    generate_arrivals,
-    generate_churn,
-    run_churn,
-    run_loadgen,
-    run_open_loop,
-)
 from repro.service.server import SolverServer, serve
-from repro.service.slo import SLOCheck, SLOReport, SLOSpec, load_slo_spec
 from repro.service.stats import ServiceStats
 
 __all__ = [
     "DeadlineExceeded",
     "RequestRejected",
-    "SLOCheck",
-    "SLOReport",
-    "SLOSpec",
     "ServedReport",
     "ServiceStats",
     "SolverEngine",
     "SolverServer",
     "UnknownAlgorithmError",
-    "build_request_pool",
-    "generate_arrivals",
-    "generate_churn",
-    "load_slo_spec",
-    "run_churn",
-    "run_loadgen",
-    "run_open_loop",
     "serve",
 ]

@@ -550,10 +550,13 @@ class SolverEngine:
         if self._registry is not None:
             algorithm = self._registry[request.algorithm]
         # The request's backend wins, otherwise the engine's default; it
-        # chooses how the job runs, and no cache key depends on it.
+        # chooses how the job runs, and no cache key depends on it.  The
+        # disk key names the registry entry, whether the job carries the
+        # name or an injected callable.
         return BatchJob(request.graph, algorithm, seed=request.seed,
                         params=dict(request.params), label=request.label,
-                        backend=request.backend or self.backend)
+                        backend=request.backend or self.backend,
+                        name=request.algorithm)
 
     def _new_worker_pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(max_workers=self.workers,

@@ -237,8 +237,8 @@ class FleetRouter(HttpServer):
                 self.stats["parse_routed"] += 1
         except _OversizedGraph:
             raise
-        except (ValueError, UnicodeDecodeError, SchemaError, TypeError,
-                KeyError):
+        except (ValueError, UnicodeDecodeError, RecursionError, SchemaError,
+                TypeError, KeyError):
             key = body_hash
             self.stats["body_routed"] += 1
         if self._routing_cache is not None:

@@ -230,7 +230,7 @@ class SolverServer(HttpServer):
         else:
             try:
                 doc = json.loads(body.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError) as exc:
+            except (ValueError, UnicodeDecodeError, RecursionError) as exc:
                 return error_doc(
                     400, f"graph body is neither a repro blob nor valid "
                          f"JSON: {exc}")
@@ -275,7 +275,7 @@ class SolverServer(HttpServer):
             return error_doc(400, str(exc))
         try:
             doc = json.loads(call.body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, UnicodeDecodeError, RecursionError) as exc:
             return error_doc(400, f"delta body is not valid JSON: {exc}")
         try:
             delta = GraphDelta.from_doc(doc)
@@ -342,7 +342,7 @@ class SolverServer(HttpServer):
         if request is None:
             try:
                 doc = json.loads(body.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError) as exc:
+            except (ValueError, UnicodeDecodeError, RecursionError) as exc:
                 return error_doc(400, f"request is not valid JSON: {exc}")
             # Admission control before the graph materializes: a request
             # may declare its size either inline (nodes list) or via a

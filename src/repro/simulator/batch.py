@@ -99,6 +99,12 @@ class BatchJob:
     # ambiently around the job so every inner run() of a composed
     # algorithm uses it.  None means the scheduler default (per-node).
     backend: Optional[str] = None
+    # The registry name of a callable ``algorithm`` (the service's
+    # engine injects registry entries as callables): it names the job
+    # in the cache key and the outcome in place of the callable's
+    # qualified name, so the entry is found under the name the request
+    # used.
+    name: str = ""
 
     @property
     def backend_name(self) -> str:
@@ -126,14 +132,17 @@ class BatchJob:
     @property
     def cache_name(self) -> str:
         """The algorithm's name in the disk-cache key: the registry name
-        (or the callable's qualified name) plus any fault plan, never the
-        backend — backends give byte-identical outcomes, so per-node and
-        columnar runs of one job share one entry."""
+        (or, for a callable without :attr:`name`, its qualified name)
+        plus any fault plan, never the backend — backends give
+        byte-identical outcomes, so per-node and columnar runs of one
+        job share one entry."""
         return self._name("")
 
     def _name(self, backend_tag: str) -> str:
         if isinstance(self.algorithm, str):
             name = self.algorithm
+        elif self.name:
+            name = self.name
         else:
             fn = self.algorithm
             name = (f"{getattr(fn, '__module__', '?')}."

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.service import generate_arrivals
+from repro.bench.loadgen import generate_arrivals
 
 
 class TestDeterminism:

@@ -30,6 +30,7 @@ from repro.core import weighted_greedy_maxis
 from repro.graphs import gnp, uniform_weights
 from repro.graphs import io as graph_io
 from repro.graphs.delta import GraphDelta, apply_delta
+from repro.registry import algorithm_registry
 
 from .test_server import ServerThread, http
 
@@ -190,6 +191,52 @@ class TestSolveModeGoldens:
             local = solve(child, "mis-luby", seed=5, backend=backend)
             assert json.dumps(env["report"], sort_keys=True,
                               separators=(",", ":")) == local.to_json()
+
+    def test_registry_engine_serves_delta_from_disk_tier(self, instance,
+                                                         tmp_path):
+        # An engine built with registry= runs injected callables; its
+        # disk entries must still be keyed by the registry name, which
+        # is where the incremental path looks for the parent.
+        v = instance.nodes[0]
+        ops = [["set_weight", v, 50.0]]
+        child = apply_delta(instance, GraphDelta.of(ops))
+        with ServerThread(cache_dir=str(tmp_path), memory_cache=0,
+                          registry=dict(algorithm_registry())) as srv:
+            parent = _register(srv.port, instance)
+            warm = {"schema": "v2", "graph": {"ref": parent},
+                    "algorithm": "mis-luby", "seed": 5}
+            status, _ = http(srv.port, "POST", "/v1/solve",
+                             json.dumps(warm).encode())
+            assert status == 200
+            status, env = http(srv.port, "POST", "/v1/solve",
+                               json.dumps(_delta_solve_doc(parent, ops)
+                                          ).encode())
+            assert status == 200
+            assert env["served"]["solve_mode"] == "incremental"
+            assert env["served"]["cache_tier"] == "disk"
+            local = solve(child, "mis-luby", seed=5)
+            assert json.dumps(env["report"], sort_keys=True,
+                              separators=(",", ":")) == local.to_json()
+
+    def test_registry_and_named_engines_share_one_disk_entry(self, instance,
+                                                             tmp_path):
+        doc = {"schema": "v2", "graph": {"inline": graph_io.to_doc(instance)},
+               "algorithm": "mis-luby", "seed": 5}
+        body = json.dumps(doc).encode()
+        cache = tmp_path / "cache"
+        replies = []
+        for registry in (None, dict(algorithm_registry())):
+            with ServerThread(cache_dir=str(cache), memory_cache=0,
+                              registry=registry) as srv:
+                status, env = http(srv.port, "POST", "/v1/solve", body)
+            assert status == 200
+            replies.append(env)
+        named, injected = replies
+        assert named["served"]["cached"] is False
+        assert injected["served"]["cached"] is True
+        assert injected["served"]["cache_tier"] == "disk"
+        assert injected["report"] == named["report"]
+        assert len(list(cache.glob("*.json"))) == 1
 
     def test_topology_delta_takes_full_path(self, instance, tmp_path):
         nodes = instance.nodes

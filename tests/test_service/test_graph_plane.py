@@ -17,7 +17,7 @@ from repro.api import SolveRequest, solve
 from repro.graphs import gnp, uniform_weights
 from repro.graphs import io as graph_io
 from repro.graphs.store import shm_segment_name
-from repro.service.loadgen import register_pool_graphs
+from repro.bench.loadgen import register_pool_graphs
 
 from .test_server import ServerThread, http
 
@@ -168,7 +168,7 @@ class TestGraphRegistry:
 
 class TestLoadgenGraphRef:
     def test_register_pool_graphs_preserves_keys(self, tmp_path):
-        from repro.service.loadgen import build_request_pool
+        from repro.bench.loadgen import build_request_pool
 
         pool = build_request_pool(seeds=(1,))
         with ServerThread(graph_store=str(tmp_path)) as srv:

@@ -251,6 +251,53 @@ def test_pipelined_requests_in_one_write(door):
     assert closed
 
 
+# --------------------------------------------------------------------- #
+# hostile graph bodies
+# --------------------------------------------------------------------- #
+
+_HOSTILE_GRAPHS = {
+    "spec-negative-size": {"spec": "cycle:-5"},
+    "spec-p-above-1": {"spec": "gnp:10,2.5"},
+    "negative-weight": {"nodes": [[0, -1.0], [1, 1.0]], "edges": [[0, 1]]},
+    "nan-weight": {"nodes": [[0, float("nan")], [1, 1.0]], "edges": [[0, 1]]},
+    "self-loop": {"nodes": [[0, 1.0], [1, 1.0]], "edges": [[0, 0]]},
+    "unknown-node": {"nodes": [[0, 1.0], [1, 1.0]], "edges": [[0, 7]]},
+}
+
+
+def _hostile_bodies():
+    for name, graph in _HOSTILE_GRAPHS.items():
+        solve = {"schema": "v2", "algorithm": "mis-luby", "seed": 1,
+                 "graph": {"inline": graph}}
+        yield pytest.param("/v1/solve", json.dumps(solve).encode(),
+                           id=f"solve-{name}")
+        yield pytest.param("/v1/graphs", json.dumps(graph).encode(),
+                           id=f"graphs-{name}")
+    deep = b"[" * 10**5 + b"]" * 10**5
+    for route in ("/v1/solve", "/v1/graphs"):
+        yield pytest.param(route, deep, id=f"{route[4:]}-nested-1e5")
+
+
+@pytest.mark.parametrize("route, body", _hostile_bodies())
+def test_hostile_graph_body_is_400(door, route, body):
+    """A body that is valid JSON (Python's reading of it, NaN included)
+    but describes no graph, or nests past the decoder's recursion limit,
+    is the client's error on both doors: 400, never a 500."""
+    (reply,), _ = exchange(door, http_request("POST", route, body))
+    assert reply.signature() == (400, "bad_request", None), reply
+
+
+def test_file_spec_reads_nothing_on_the_host(door):
+    """A ``file:`` spec names a file on the serving host; it is refused
+    before anything is read, so no line of the file reaches the reply."""
+    solve = {"schema": "v2", "algorithm": "mis-luby", "seed": 1,
+             "graph": {"inline": {"spec": f"file:{__file__}"}}}
+    (reply,), _ = exchange(door, http_request(
+        "POST", "/v1/solve", json.dumps(solve).encode()))
+    assert reply.signature() == (400, "bad_request", None), reply
+    assert b"Hostile bytes" not in reply.body, reply.body
+
+
 def test_unknown_path_is_404_for_every_method(door):
     for method in ("GET", "HEAD", "POST", "DELETE", "PUT"):
         (reply,), _ = exchange(door, http_request(method, "/v1/nowhere"),

@@ -9,7 +9,8 @@ import pytest
 
 from repro.api import SCHEMA_VERSION, SolveRequest, solve
 from repro.graphs import gnp, uniform_weights
-from repro.service import SolverEngine, SolverServer, build_request_pool, run_loadgen
+from repro.bench.loadgen import build_request_pool, run_open_loop
+from repro.service import SolverEngine, SolverServer
 from repro.service.http import BackgroundServer, HttpClient
 
 
@@ -20,7 +21,7 @@ def instance():
 
 class ServerThread:
     """A live ``repro serve`` stack on an ephemeral port, off-thread,
-    so tests (and the loadgen, which owns its own event loop) can talk
+    so tests (and the load client, which owns its own event loop) can talk
     to it over real sockets."""
 
     def __init__(self, **engine_kwargs):
@@ -273,10 +274,11 @@ class TestLoadgen:
             algorithms=("thm2",),
             seeds=(1, 2),
         )
-        out = tmp_path / "BENCH_service.json"
+        out = tmp_path / "run.json"
         with ServerThread(cache_dir=str(tmp_path / "cache")) as server:
-            doc = run_loadgen(port=server.port, clients=4, duration_s=1.0,
-                              out_path=str(out), pool=pool)
+            doc = run_open_loop(port=server.port, rate=40.0, duration_s=1.0,
+                                arrival="uniform", out_path=str(out),
+                                pool=pool)
         assert doc["completed"] > 0
         assert doc["status_counts"] == {"200": doc["sent"]}
         assert doc["served"]["cached"] > 0
@@ -288,7 +290,7 @@ class TestLoadgen:
         assert doc["verification"]["verified"] == doc["unique_reports"] > 0
         written = json.loads(out.read_text())
         assert written["kind"] == "service_loadgen"
-        assert written["throughput_rps"] > 0
+        assert written["achieved_rps"] > 0
 
     def test_pool_is_deterministic(self):
         a = build_request_pool(seeds=(1,))
