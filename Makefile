@@ -104,11 +104,11 @@ fleet-smoke:
 # graph binary blob (POST /v1/graphs), assert a graph_ref solve is
 # byte-identical to the body solve and to repro.api.solve, measure the
 # ingest-once-solve-many cells (10^4/10^5 nodes, ref path must beat
-# the body path >= 5x on fresh solves of the 10^5 cell), evict, drain,
-# and assert no shared-memory arena segment leaks — on SIGTERM *and*
-# SIGKILL.  Writes BENCH_graphplane.json for the CI artifact upload.
-# See benchmarks/graphplane_smoke.py and docs/service.md ("Graph
-# registry").
+# the body path >= 5x on fresh solves of the 10^5 cell), evict, drain
+# cleanly on SIGTERM, and assert that a SIGKILLed server's orphaned
+# pool workers exit on SIGTERM.  Writes bench_graphplane_current.json
+# for the CI artifact upload.  See benchmarks/graphplane_smoke.py and
+# docs/service.md ("Graph registry").
 graphplane-smoke: export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 graphplane-smoke:
 	$(PYTHON) benchmarks/graphplane_smoke.py --keep-bench
@@ -119,9 +119,9 @@ graphplane-smoke:
 # served incrementally from the parent's cached report.  Asserts the
 # incremental report is byte-identical to the from-scratch solve, that
 # topology edits fall back to the full path, and that the incremental
-# path is >= 3x faster at <= 1% edit distance.  Writes BENCH_delta.json
-# for the CI artifact upload.  See benchmarks/delta_smoke.py and
-# docs/service.md ("Deltas").
+# path is >= 3x faster at <= 1% edit distance.  Writes
+# bench_delta_current.json for the CI artifact upload.  See
+# benchmarks/delta_smoke.py and docs/service.md ("Deltas").
 delta-smoke: export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 delta-smoke:
 	$(PYTHON) benchmarks/delta_smoke.py --keep-bench

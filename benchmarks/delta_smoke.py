@@ -23,9 +23,9 @@ incremental path derives from), the way a warm worker serves it:
 
 All scratch state (graph store, result cache, the measured document)
 lives in a temporary directory removed in a ``finally`` block.  The
-document is copied to ``BENCH_delta.json`` in the working directory
-only when ``--keep-bench`` is passed (CI uploads it as an artifact next
-to the committed baseline).
+document is copied to the gitignored ``bench_delta_current.json`` in the
+working directory only when ``--keep-bench`` is passed (CI uploads it as
+an artifact).
 
 Run as ``python benchmarks/delta_smoke.py`` (the Makefile sets
 ``PYTHONPATH=src``); exits non-zero with diagnostics on any violation.
@@ -210,7 +210,7 @@ def main(argv=None):
     parser.add_argument("--min-speedup", type=float, default=3.0)
     parser.add_argument("--keep-bench", action="store_true",
                         help="copy the measured document to "
-                        "BENCH_delta.json in the working directory")
+                        "bench_delta_current.json in the working directory")
     args = parser.parse_args(argv)
 
     scratch = tempfile.mkdtemp(prefix="delta_smoke_")
@@ -223,8 +223,8 @@ def main(argv=None):
               f"(full {doc['full']['p50_s']:.3f}s vs incremental "
               f"{doc['incremental']['p50_s']:.4f}s)", flush=True)
         if args.keep_bench:
-            shutil.copy(out_path, "BENCH_delta.json")
-            print("[delta-smoke] wrote BENCH_delta.json", flush=True)
+            shutil.copy(out_path, "bench_delta_current.json")
+            print("[delta-smoke] wrote bench_delta_current.json", flush=True)
         if doc["speedup_p50"] < args.min_speedup:
             print(f"[delta-smoke] FAIL: speedup {doc['speedup_p50']:.2f}x "
                   f"< required {args.min_speedup}x", file=sys.stderr)

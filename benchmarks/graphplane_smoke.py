@@ -14,22 +14,20 @@ the way CI runs it:
    graphs): fresh solves (distinct seeds) over one registered graph
    through the multi-MB-body path vs the ~200-byte ref path — the body
    path re-pays JSON graph parsing and worker-pool graph pickling on
-   every request, the ref path attaches the shared CSR arena once —
+   every request, the ref path maps the stored CSR blob once —
    plus cached-repeat latencies and in-process JSON-parse vs
    store-attach timings; assert the ref path is at least
    ``--min-speedup`` (default 5x) faster on the 10^5 fresh-solve cell;
 5. evict the ref and assert a subsequent ref solve 404s;
-6. SIGTERM the server, assert a clean drain, and assert its shm arena
-   segments are gone from ``/dev/shm``;
-7. crash-reclaim: boot a second server, register a graph, ``SIGKILL``
-   it, and assert the resource tracker unlinks the orphaned segment and
-   that its orphaned pool workers exit on ``SIGTERM``.
+6. SIGTERM the server and assert a clean drain;
+7. orphaned pool workers: boot a second server, ``SIGKILL`` it, and
+   assert that its orphaned pool workers exit on ``SIGTERM``.
 
 All scratch state (server cache, graph store, logs, the benchmark
 document) lives in a temporary directory removed in a ``finally``
-block.  The measured document is copied to ``BENCH_graphplane.json`` in
-the working directory only when ``--keep-bench`` is passed (CI uploads
-it as an artifact next to the committed baseline).
+block.  The measured document is copied to the gitignored
+``bench_graphplane_current.json`` in the working directory only when
+``--keep-bench`` is passed (CI uploads it as an artifact).
 
 Run as ``python benchmarks/graphplane_smoke.py`` (the Makefile sets
 ``PYTHONPATH=src``); exits non-zero with diagnostics on any violation.
@@ -74,7 +72,7 @@ def _gone(pid: int) -> bool:
 
 def _pool_workers(pid: int) -> list:
     """Live children of ``pid`` running its own image: its process-pool
-    workers, not the resource tracker it spawned.  The pool forks from
+    workers, not a helper process of another image.  The pool forks from
     the dispatch thread, so every thread's ``children`` file is read.
     A thread or child that exits during the scan is skipped."""
     def cmdline(p: int) -> bytes:
@@ -103,17 +101,11 @@ def _pool_workers(pid: int) -> list:
     return workers
 
 
-def _shm_path(fingerprint: str) -> str:
-    from repro.graphs.store import shm_segment_name
-
-    return os.path.join("/dev/shm", shm_segment_name(fingerprint))
-
-
 # --------------------------------------------------------------------- #
 # smoke: registration, byte identity, eviction
 # --------------------------------------------------------------------- #
 
-def _check_registry_and_byte_identity(host: str, port: int) -> str:
+def _check_registry_and_byte_identity(host: str, port: int) -> None:
     from repro.api import SolveRequest, solve
     from repro.graphs import gnp, uniform_weights
     from repro.graphs import io as graph_io
@@ -154,7 +146,6 @@ def _check_registry_and_byte_identity(host: str, port: int) -> str:
                         json.dumps(ref_doc).encode())
     assert status == 404, (
         f"evicted ref still solvable (status {status}): {err}")
-    return fp
 
 
 # --------------------------------------------------------------------- #
@@ -194,7 +185,7 @@ def _measure_cell(host: str, port: int, n: int, repeats: int) -> dict:
     distinct seeds against the same graph.  The body path ships and
     re-parses the multi-MB JSON graph and re-pickles it to the worker
     pool on every request; the ref path ships a ~200-byte envelope and
-    attaches the shared CSR arena once.  (Disjoint seed ranges keep the
+    maps the stored CSR blob once.  (Disjoint seed ranges keep the
     two paths from warming each other's report cache — same seed means
     same request key on both paths, by design.)
 
@@ -261,9 +252,7 @@ def _measure_cell(host: str, port: int, n: int, repeats: int) -> dict:
 
     # In-process companion numbers: rebuilding the graph from its JSON
     # document (what every body solve used to pay) vs attaching the CSR
-    # arrays zero-copy from a fresh store over the same root (mmap path;
-    # the store's own shm segments would register in this process's
-    # resource tracker and warn at exit).
+    # arrays zero-copy from a fresh store over the same root.
     t0 = time.perf_counter()
     rebuilt = graph_io.from_doc(json.loads(body)["graph"]["inline"])
     parse_s = time.perf_counter() - t0
@@ -273,9 +262,9 @@ def _measure_cell(host: str, port: int, n: int, repeats: int) -> dict:
 
     store_root = tempfile.mkdtemp(prefix="graphplane-cell-")
     try:
-        with GraphStore(store_root, use_shm=False) as writer:
+        with GraphStore(store_root) as writer:
             writer.put(graph)
-        with GraphStore(store_root, use_shm=False) as reader:
+        with GraphStore(store_root) as reader:
             t0 = time.perf_counter()
             attached = reader.attach(fp)
             attach_s = time.perf_counter() - t0
@@ -311,40 +300,24 @@ def _measure_cell(host: str, port: int, n: int, repeats: int) -> dict:
 
 
 # --------------------------------------------------------------------- #
-# crash reclaim
+# orphaned pool workers
 # --------------------------------------------------------------------- #
 
-def _check_crash_reclaims_arena(scratch: str) -> bool:
-    """SIGKILL a server mid-flight; its shm segments must still vanish
-    (the stdlib resource tracker outlives the process and unlinks what
-    the dead store owned), and its orphaned pool workers must exit on
-    SIGTERM.  Returns False when /dev/shm is unavailable (mmap-only
-    platforms have nothing to leak); skips the pool-worker part, with a
-    note, where the kernel has no ``/proc/<pid>/task/*/children``."""
-    if not os.path.isdir("/dev/shm"):
+def _check_orphaned_pool_workers_exit(scratch: str) -> bool:
+    """SIGKILL a server; its orphaned pool workers must exit on SIGTERM.
+    Returns False, with a note, where the kernel has no
+    ``/proc/<pid>/task/*/children`` to find them by."""
+    if not glob.glob("/proc/self/task/*/children"):
+        print("orphaned pool workers: no /proc/<pid>/task/*/children "
+              "here, not checked", flush=True)
         return False
-    track_workers = bool(glob.glob("/proc/self/task/*/children"))
-    if not track_workers:
-        print("crash reclaim: no /proc/<pid>/task/*/children here, pool "
-              "workers not checked", flush=True)
-    from repro.graphs import gnp, uniform_weights
-    from repro.graphs import io as graph_io
-
-    graph = uniform_weights(gnp(24, 0.2, seed=8), 1, 9, seed=9)
     # Ready: /v1/ready answers 200 once every pool worker has forked.
     server = _start_server(scratch, tag="crash")
-    workers: list = []
     try:
-        status, reg = fetch(server.host, server.port, "POST", "/v1/graphs",
-                            graph_io.to_bytes(graph))
-        assert status == 200, (status, reg)
-        seg = _shm_path(graph.fingerprint())
-        assert os.path.exists(seg), f"no arena segment exported at {seg}"
-        if track_workers:
-            workers = _pool_workers(server.proc.pid)
-            assert len(workers) == 2, (
-                f"expected 2 pool workers, found {workers}; server log:\n"
-                + server.log())
+        workers = _pool_workers(server.proc.pid)
+        assert len(workers) == 2, (
+            f"expected 2 pool workers, found {workers}; server log:\n"
+            + server.log())
     finally:
         server.kill()
     for pid in workers:
@@ -360,18 +333,7 @@ def _check_crash_reclaims_arena(scratch: str) -> bool:
                 f"pool workers {workers} of the SIGKILLed server outlived "
                 f"SIGTERM by 5 s; server log:\n" + server.log())
         time.sleep(0.1)
-    if workers:
-        print("crash reclaim: the SIGKILLed server's pool workers exited "
-              "on SIGTERM", flush=True)
-    deadline = time.monotonic() + 15.0
-    seg = _shm_path(graph.fingerprint())
-    while time.monotonic() < deadline:
-        if not os.path.exists(seg):
-            return True
-        time.sleep(0.2)
-    raise AssertionError(
-        f"arena segment {seg} leaked after SIGKILL (resource tracker "
-        f"did not reclaim it); server log:\n" + server.log())
+    return True
 
 
 def main() -> int:
@@ -384,7 +346,8 @@ def main() -> int:
                         help="required ref-vs-body repeat speedup on the "
                              "largest cell")
     parser.add_argument("--keep-bench", action="store_true",
-                        help="copy the bench doc to ./BENCH_graphplane.json")
+                        help="copy the bench doc to "
+                             "./bench_graphplane_current.json")
     args = parser.parse_args()
     cells = [int(x) for x in args.cells.split(",") if x]
 
@@ -397,7 +360,7 @@ def main() -> int:
         status, doc = fetch(host, port, "GET", "/v1/health")
         assert status == 200 and doc["status"] == "ok", (status, doc)
 
-        smoke_fp = _check_registry_and_byte_identity(host, port)
+        _check_registry_and_byte_identity(host, port)
         print("graph plane smoke ok: register/describe/solve-by-ref/"
               "evict byte-identical", flush=True)
 
@@ -427,19 +390,10 @@ def main() -> int:
         log_text = server.log()
         assert rc == 0, f"server exit {rc}:\n{log_text}"
         assert "repro-serve drained" in log_text, log_text
-        if os.path.isdir("/dev/shm"):
-            for cell in measured:
-                graph = _build_cell_graph(cell["n"])
-                seg = _shm_path(graph.fingerprint())
-                assert not os.path.exists(seg), (
-                    f"arena segment {seg} leaked after drain")
-            assert not os.path.exists(_shm_path(smoke_fp)), (
-                "smoke graph arena segment leaked after drain")
 
-        crash_checked = _check_crash_reclaims_arena(scratch)
-        if crash_checked:
-            print("crash reclaim ok: SIGKILLed server's arena segments "
-                  "unlinked by the resource tracker", flush=True)
+        if _check_orphaned_pool_workers_exit(scratch):
+            print("orphaned pool workers ok: the SIGKILLed server's pool "
+                  "workers exited on SIGTERM", flush=True)
 
         bench = {
             "schema": "v1",
@@ -458,14 +412,13 @@ def main() -> int:
             },
             "cells": measured,
             "drain_clean": True,
-            "crash_reclaim_checked": crash_checked,
         }
         bench_path = os.path.join(scratch, "bench_graphplane.json")
         with open(bench_path, "w", encoding="utf-8") as fh:
             json.dump(bench, fh, indent=2, sort_keys=True)
             fh.write("\n")
         if args.keep_bench:
-            shutil.copy(bench_path, "BENCH_graphplane.json")
+            shutil.copy(bench_path, "bench_graphplane_current.json")
         print(f"graphplane-smoke ok: {len(measured)} cells, largest "
               f"{gate['n']} nodes at {gate['speedup_p50']:.1f}x ref-vs-body "
               f"repeat speedup, drain clean", flush=True)

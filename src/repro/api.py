@@ -311,6 +311,8 @@ def _identity_fields(doc: Mapping[str, Any],
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise SchemaError(f"seed must be an int, got {seed!r}")
+    if seed < 0:
+        raise SchemaError(f"seed must be non-negative, got {seed}")
     params = doc.get("params") or {}
     if not isinstance(params, dict):
         raise SchemaError(

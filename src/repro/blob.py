@@ -1,9 +1,9 @@
 """Aligned binary container for named numpy arrays.
 
-This is the one low-level format shared by the zero-copy graph plane:
-the binary graph codec (``repro.graphs.io``), the content-addressed
-graph store (``repro.graphs.store``), and the binary tier of the batch
-disk cache all serialize through :func:`pack` / :func:`unpack`.
+This is the one low-level format of the zero-copy graph plane: the
+binary graph codec (``repro.graphs.io``) and the content-addressed
+graph store (``repro.graphs.store``) serialize through :func:`pack` /
+:func:`unpack`.
 
 Layout (all integers little-endian)::
 
@@ -18,10 +18,10 @@ Each ``arrays`` entry records ``{"name", "dtype", "shape", "offset",
 "nbytes"}`` with ``offset`` absolute from the start of the buffer.
 Arrays are stored as C-contiguous little-endian raw bytes, so
 :func:`unpack` can hand back zero-copy ``np.frombuffer`` views into
-*any* buffer-protocol object — ``bytes``, ``mmap.mmap``, or a
-``multiprocessing.shared_memory`` buffer.  Views over writable buffers
-are marked read-only: every consumer of the graph plane treats the
-arrays as immutable, and a shared arena must never be scribbled on.
+*any* buffer-protocol object, such as ``bytes`` or ``mmap.mmap``.
+Views over writable buffers are marked read-only: every consumer of the
+graph plane treats the arrays as immutable, and a mapping that other
+readers share must never be scribbled on.
 
 The 64-byte alignment matches cache lines (and exceeds every numpy
 dtype alignment requirement), so attached views are as fast to scan as
@@ -114,8 +114,8 @@ def unpack(buf) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
     """Parse a blob, returning ``(meta, {name: array})``.
 
     The arrays are zero-copy, read-only views into ``buf`` (which may be
-    ``bytes``, an ``mmap``, or a shared-memory buffer) — the caller must
-    keep the underlying buffer alive as long as the views are in use.
+    ``bytes`` or an ``mmap``) — the caller must keep the underlying
+    buffer alive as long as the views are in use.
     Raises :class:`BlobFormatError` on anything malformed.
     """
     view = memoryview(buf)

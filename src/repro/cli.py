@@ -32,10 +32,11 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.graphs import WeightedGraph, summarize
 from repro.graphs.specs import graph_from_spec, weights_from_spec
+from repro.registry import algorithm_registry
 
 __all__ = ["main", "parse_graph_spec", "parse_weight_spec"]
 
@@ -58,34 +59,21 @@ def parse_weight_spec(spec: str, graph: WeightedGraph, seed: Optional[int]) -> W
         raise SystemExit(str(exc))
 
 
-def _algorithms() -> Dict[str, Callable]:
-    from repro.core import (
-        bar_yehuda_maxis,
-        boppana_is,
-        good_nodes_approx,
-        low_arboricity_maxis,
-        low_degree_maxis,
-        sparsified_approx,
-        theorem1_maxis,
-        theorem2_maxis,
-        weighted_greedy_maxis,
-    )
-    from repro.mis import ghaffari_mis, local_minima_mis, luby_mis
+def _eps_params(name: str, eps: float) -> Dict[str, float]:
+    """``{"eps": eps}`` for a registry entry that declares ``eps`` (as
+    ``repro algorithms`` lists it), else ``{}``."""
+    from repro.api import describe_algorithms
 
-    return {
-        "thm1": lambda g, eps, seed: theorem1_maxis(g, eps, seed=seed),
-        "thm2": lambda g, eps, seed: theorem2_maxis(g, eps, seed=seed),
-        "thm3": lambda g, eps, seed: low_arboricity_maxis(g, eps, seed=seed),
-        "thm5": lambda g, eps, seed: low_degree_maxis(g, eps, seed=seed),
-        "thm8": lambda g, eps, seed: good_nodes_approx(g, seed=seed),
-        "thm9": lambda g, eps, seed: sparsified_approx(g, seed=seed),
-        "ranking": lambda g, eps, seed: boppana_is(g, seed=seed),
-        "bar-yehuda": lambda g, eps, seed: bar_yehuda_maxis(g, seed=seed),
-        "weighted-greedy": lambda g, eps, seed: weighted_greedy_maxis(g, seed=seed),
-        "mis-luby": lambda g, eps, seed: luby_mis(g, seed=seed),
-        "mis-ghaffari": lambda g, eps, seed: ghaffari_mis(g, seed=seed),
-        "mis-det": lambda g, eps, seed: local_minima_mis(g, seed=seed),
-    }
+    entry = next(e for e in describe_algorithms() if e["name"] == name)
+    return ({"eps": eps} if any(p["name"] == "eps" for p in entry["params"])
+            else {})
+
+
+def _run_algorithm(name: str, graph: WeightedGraph, eps: float,
+                   seed: Optional[int]):
+    """Run the registry entry ``name`` the way ``repro.api.solve`` does."""
+    return algorithm_registry()[name](graph, seed=seed,
+                                      **_eps_params(name, eps))
 
 
 def _fault_plan(args: argparse.Namespace):
@@ -140,7 +128,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     graph = parse_graph_spec(args.graph, args.seed)
     graph = parse_weight_spec(args.weights, graph, None if args.seed is None
                               else args.seed + 1)
-    algorithms = _algorithms()
     plan = _fault_plan(args)
 
     with ExitStack() as stack:
@@ -173,7 +160,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 **({"faults": plan.describe()} if plan is not None else {}),
             })
             with install_sink(sink):
-                result = algorithms[args.algorithm](graph, args.eps, args.seed)
+                result = _run_algorithm(args.algorithm, graph, args.eps,
+                                        args.seed)
             sink.write({
                 "type": "result",
                 "algorithm": args.algorithm,
@@ -182,7 +170,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "metrics": result.metrics.to_dict(),
             })
         else:
-            result = algorithms[args.algorithm](graph, args.eps, args.seed)
+            result = _run_algorithm(args.algorithm, graph, args.eps,
+                                    args.seed)
 
     payload = {
         "algorithm": args.algorithm,
@@ -279,8 +268,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     graph = parse_graph_spec(args.graph, args.seed)
     graph = parse_weight_spec(args.weights, graph, None if args.seed is None
                               else args.seed + 1)
-    params = {"eps": args.eps} if args.algorithm in ("thm1", "thm2", "thm3",
-                                                     "thm5") else {}
+    params = _eps_params(args.algorithm, args.eps)
     backend = args.backend if args.backend != "per-node" else None
     jobs = [BatchJob(graph, args.algorithm, params=dict(params),
                      backend=backend)
@@ -425,12 +413,11 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
         raise SystemExit(f"bad fault flag: {exc}")
 
     algorithms = args.algorithm or ["thm8"]
-    known = sorted(_algorithms())
+    known = sorted(algorithm_registry())
     unknown = [a for a in algorithms if a not in known]
     if unknown:
         raise SystemExit(f"unknown algorithms {unknown}; known: {known}")
-    params = {a: {"eps": args.eps} for a in algorithms
-              if a in ("thm1", "thm2", "thm3", "thm5")}
+    params = {a: _eps_params(a, args.eps) for a in algorithms}
 
     with ExitStack() as stack:
         sink = None
@@ -479,8 +466,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     graph = parse_graph_spec(args.graph, args.seed)
     graph = parse_weight_spec(args.weights, graph, None if args.seed is None
                               else args.seed + 1)
-    algorithms = _algorithms()
-    result = algorithms[args.algorithm](graph, args.eps, args.seed)
+    result = _run_algorithm(args.algorithm, graph, args.eps, args.seed)
 
     from repro.core import certify_fraction_bound, certify_ratio, exact_max_weight_is
     from repro.exceptions import SolverLimitError
@@ -667,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one algorithm on one instance")
-    p_run.add_argument("--algorithm", choices=sorted(_algorithms()), default="thm2")
+    p_run.add_argument("--algorithm", choices=sorted(algorithm_registry()), default="thm2")
     p_run.add_argument("--graph", default="gnp:200,0.05", help="graph spec")
     p_run.add_argument("--weights", default="uniform:1,100", help="weight spec")
     p_run.add_argument("--eps", type=float, default=0.5)
@@ -712,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", help="run one algorithm over many derived seeds in parallel"
     )
-    p_sweep.add_argument("--algorithm", choices=sorted(_algorithms()),
+    p_sweep.add_argument("--algorithm", choices=sorted(algorithm_registry()),
                          default="ranking")
     p_sweep.add_argument("--graph", default="gnp:100,0.05", help="graph spec")
     p_sweep.add_argument("--weights", default="uniform:1,20", help="weight spec")
@@ -802,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="run an algorithm and certify its guarantee"
     )
-    p_verify.add_argument("--algorithm", choices=sorted(_algorithms()), default="thm2")
+    p_verify.add_argument("--algorithm", choices=sorted(algorithm_registry()), default="thm2")
     p_verify.add_argument("--graph", default="gnp:40,0.12")
     p_verify.add_argument("--weights", default="uniform:1,20")
     p_verify.add_argument("--eps", type=float, default=0.5)

@@ -79,7 +79,7 @@ class CSRIndex:
         and ``weights`` float64 per slot — exactly what ``__init__``
         produces and what the binary graph codec / graph store persist.
         The arrays are adopted as-is (they may be read-only views into a
-        shared arena); only the derived ``degrees``/``slot_of``/id list
+        mapped blob file); only the derived ``degrees``/``slot_of``/id list
         are materialized here.
         """
         self = object.__new__(cls)

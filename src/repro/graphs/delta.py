@@ -40,7 +40,7 @@ import hashlib
 import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.exceptions import ReproError
 from repro.graphs.weighted_graph import WeightedGraph
@@ -355,30 +355,3 @@ def dirty_region(graph: WeightedGraph, touched: Iterable[int], *,
         if not frontier:
             break
     return frozenset(region), frozenset(frontier)
-
-
-def chain_doc(parent: str, delta: GraphDelta, child: str) -> Dict[str, Any]:
-    """The persisted lineage record of one delta application (the graph
-    store's ``<child>.delta.json`` sidecar)."""
-    return {
-        "schema": "v1",
-        "kind": "graph_delta",
-        "parent": parent,
-        "child": child,
-        "ops": delta.to_doc(),
-        "delta_fingerprint": delta.fingerprint(),
-        "weight_only": delta.weight_only,
-    }
-
-
-def chain_from_doc(doc: Any) -> Optional[Tuple[str, GraphDelta]]:
-    """Parse a lineage sidecar; ``None`` when the doc is not one."""
-    if not isinstance(doc, dict) or doc.get("kind") != "graph_delta":
-        return None
-    parent = doc.get("parent")
-    if not isinstance(parent, str) or not parent:
-        return None
-    try:
-        return parent, GraphDelta.from_doc(doc.get("ops"))
-    except DeltaConflictError:
-        return None

@@ -6,7 +6,7 @@ Three formats:
   lines ``node weight``, then ``m`` lines ``u v``;
 * JSON, for embedding instances in experiment manifests;
 * a binary CSR blob (``.rwg``) built on :mod:`repro.blob` — the
-  zero-copy wire/arena format of the graph plane.  Round-trip equal to
+  zero-copy wire/storage format of the graph plane.  Round-trip equal to
   the JSON codec (same graph, same fingerprint), but :func:`from_bytes`
   rebuilds through :meth:`WeightedGraph._from_csr_arrays` instead of
   re-sorting an edge list, and the stored fingerprint makes re-hashing
@@ -129,10 +129,10 @@ def to_bytes(g: WeightedGraph) -> bytes:
 def from_buffer(buf) -> WeightedGraph:
     """Rebuild a graph from a binary blob *without copying the arrays*.
 
-    ``buf`` may be ``bytes``, an ``mmap``, or a shared-memory buffer; the
-    returned graph's CSR index holds read-only views into it, so the
-    caller must keep ``buf`` alive for the graph's lifetime (the graph
-    store does this by owning the mapping).  Use :func:`from_bytes` when
+    ``buf`` may be ``bytes`` or an ``mmap``; the returned graph's CSR
+    index holds read-only views into it, so the caller must keep
+    ``buf`` alive for the graph's lifetime (the graph store does this
+    by owning the mapping).  Use :func:`from_bytes` when
     the buffer's lifetime is not managed.
     """
     from repro import blob

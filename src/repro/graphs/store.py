@@ -1,29 +1,29 @@
-"""Content-addressed graph store: the zero-copy arena of the graph plane.
+"""Content-addressed graph store: the zero-copy graph plane.
 
 A :class:`GraphStore` persists the canonical CSR arrays of a
 :class:`~repro.graphs.weighted_graph.WeightedGraph` as binary blobs
 (:mod:`repro.blob` via :func:`repro.graphs.io.to_bytes`) keyed by
-``WeightedGraph.fingerprint()``.  Readers *attach* instead of parsing:
+``WeightedGraph.fingerprint()``.  Readers *attach* instead of parsing,
+and a process keeps one mapped copy of each graph:
 
-* same process — a memoized graph instance per fingerprint;
-* co-located processes — a ``multiprocessing.shared_memory`` segment
-  (named after the fingerprint) or an ``mmap`` of the blob file, with
-  the CSR arrays as read-only zero-copy views into the mapping.
+* the store's in-process memo — one graph instance per fingerprint;
+* else an ``mmap`` of the blob file ``<fingerprint>.rwg``, with the CSR
+  arrays as read-only zero-copy views into the mapping.  Co-located
+  processes share the file's pages through the page cache.
 
 Because the key *is* the graph fingerprint, a :class:`GraphRef` can
 stand in for the graph everywhere only the fingerprint matters — cache
 keys, request coalescing keys, solve reports — which is what makes
 solve-by-reference byte-identical to solve-with-body for free.
 
-Batch workers resolve refs through the process-global :func:`get_store`
-memo, so a pool process attaches each graph once and reuses it across
-jobs instead of unpickling the graph per job.
-
-Lifecycle: the store that *created* a shared-memory segment owns it and
-unlinks it in :meth:`close` (and, on crash, via the stdlib resource
-tracker).  Attach-side stores deliberately unregister their segments
-from the resource tracker — on Python ≤3.12 an attaching process would
-otherwise unlink the creator's segment when it exits.
+One store per root in a process: a store registers itself as *the* open
+store over its root when the root has none, and :meth:`GraphStore.close`
+removes it.  :meth:`GraphRef.resolve` attaches through that store — in a
+server, the engine's own — so an in-process job reads the engine's memo
+and an eviction reaches every reader in the process.  Where no store is
+open over a ref's root (a fleet worker process, a spawned pool worker),
+:func:`get_store` opens an attach-only one, so a long-lived worker
+attaches each graph once and reuses it across jobs.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import json
 import mmap
 import os
 import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -42,10 +43,34 @@ from repro.graphs import io as graph_io
 from repro.graphs.weighted_graph import WeightedGraph
 
 __all__ = ["GraphRef", "GraphStore", "UnknownGraphRef", "atomic_write",
-           "get_store", "resolve", "shm_segment_name"]
+           "get_store", "resolve"]
 
 _BLOB_SUFFIX = ".rwg"
-_SHM_PREFIX = "repro_g_"
+
+# The open store over each resolved root.  A pool worker forked from a
+# server inherits this map, the engine's store included, and attaches
+# through its copy.  That is safe only while workers just attach: a
+# worker must never evict (the blob file is shared) nor close (an
+# ephemeral store's close removes the server's directory).
+_STORES: Dict[str, "GraphStore"] = {}
+
+# One lock guards _STORES and every store's memo and mapping dicts.  In a
+# server, the event-loop thread registers, evicts and closes while the
+# dispatch thread attaches for in-process jobs; without it, two threads
+# missing the memo at once would each map and parse the blob.  Reentrant
+# because get_store constructs a store, which registers itself.
+_LOCK = threading.RLock()
+
+
+def _reset_lock_in_child() -> None:
+    # A pool worker forked while another server thread held the lock
+    # would otherwise inherit it held, with no thread left to release it.
+    global _LOCK
+    _LOCK = threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_lock_in_child)
 
 
 class UnknownGraphRef(ReproError, KeyError):
@@ -57,13 +82,6 @@ class UnknownGraphRef(ReproError, KeyError):
 
     def __str__(self) -> str:  # KeyError quotes its arg; keep the message
         return f"unknown graph_ref {self.ref!r}"
-
-
-def shm_segment_name(fingerprint: str) -> str:
-    """Shared-memory segment name for a fingerprint (64-bit prefix —
-    collision-free in practice, and short enough for every platform's
-    segment-name limit)."""
-    return _SHM_PREFIX + fingerprint[:16]
 
 
 @dataclass(frozen=True)
@@ -88,33 +106,29 @@ class GraphRef:
         return self.ref
 
     def resolve(self) -> WeightedGraph:
-        """Attach the referenced graph via the process-global store memo."""
+        """Attach the referenced graph through the open store over
+        ``root`` (see :func:`get_store`)."""
         return resolve(self)
 
 
 class GraphStore:
     """Content-addressed store of binary graph blobs under one directory.
 
-    Thread-compatible for the service's use (all mutation happens on the
-    event loop; pool workers only attach).  ``use_shm`` defaults to
-    enabled when the platform supports POSIX shared memory; pass
-    ``False`` to force the mmap path (still zero-copy across co-located
-    processes via the page cache).
+    Safe to share between threads: the memo and the mappings change
+    only under the module lock, so a server's dispatch thread attaches
+    while its event loop registers and evicts.  Pool workers only
+    attach.
     """
 
-    def __init__(self, root: Union[str, Path], *,
-                 use_shm: Optional[bool] = None):
+    def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        if use_shm is None:
-            use_shm = _shm_supported()
-        self.use_shm = bool(use_shm)
         self._graphs: Dict[str, WeightedGraph] = {}
-        self._chains: Dict[str, Any] = {}         # child fp -> (parent, delta)
-        self._owned_shm: Dict[str, Any] = {}      # fingerprint -> SharedMemory
-        self._attached_shm: Dict[str, Any] = {}   # fingerprint -> SharedMemory
         self._mmaps: Dict[str, mmap.mmap] = {}    # fingerprint -> mapping
         self._closed = False
+        self._key = _root_key(self.root)
+        with _LOCK:
+            _STORES.setdefault(self._key, self)
 
     # ------------------------------------------------------------------ #
     # ingest
@@ -127,9 +141,8 @@ class GraphStore:
         path = self._path(fp)
         if not path.exists():
             atomic_write(path, graph_io.to_bytes(graph))
-        self._graphs.setdefault(fp, graph)
-        if self.use_shm and fp not in self._owned_shm:
-            self._export_shm(fp, path)
+        with _LOCK:
+            self._graphs.setdefault(fp, graph)
         return GraphRef(ref=fp, root=str(self.root), n=graph.n, m=graph.m)
 
     def put_bytes(self, data: bytes) -> GraphRef:
@@ -149,10 +162,6 @@ class GraphStore:
                 f"content hashes to {actual[:12]}…")
         return self.put(graph)
 
-    def put_doc(self, doc: Dict[str, Any]) -> GraphRef:
-        """Register a graph posted as a JSON graph document."""
-        return self.put(graph_io.from_doc(doc))
-
     def put_delta(self, parent: str, delta) -> GraphRef:
         """Register the child of a stored graph under an edit script.
 
@@ -160,46 +169,14 @@ class GraphStore:
         the graph stored as ``parent`` — copy-on-write, untouched rows
         shared with the parent's in-memory instance — and registers the
         child under its own content fingerprint, byte-identical to
-        registering the from-scratch edited graph.  The lineage
-        (parent fingerprint + canonical ops) is persisted in a
-        ``<child>.delta.json`` sidecar so any process attached to this
-        store — including the incremental re-solve path — can recover
-        the chain.  Raises :class:`UnknownGraphRef` for an unknown
-        parent and :class:`~repro.graphs.delta.DeltaConflictError` for
+        registering the from-scratch edited graph.  Raises
+        :class:`UnknownGraphRef` for an unknown parent and
+        :class:`~repro.graphs.delta.DeltaConflictError` for
         contradictory edits.
         """
-        from repro.graphs.delta import apply_delta_info, chain_doc
+        from repro.graphs.delta import apply_delta_info
 
-        parent_graph = self.attach(parent)
-        info = apply_delta_info(parent_graph, delta)
-        ref = self.put(info.graph)
-        doc = chain_doc(parent, delta, ref.ref)
-        doc["touched"] = sorted(info.touched)
-        sidecar = self._chain_path(ref.ref)
-        if not sidecar.exists():
-            atomic_write(sidecar, json.dumps(
-                doc, sort_keys=True, separators=(",", ":")).encode())
-        self._chains[ref.ref] = (parent, delta)
-        return ref
-
-    def delta_chain(self, fingerprint: str):
-        """``(parent_fingerprint, GraphDelta)`` if ``fingerprint`` was
-        registered through :meth:`put_delta` (here or by any process
-        sharing this store directory), else ``None``."""
-        chain = self._chains.get(fingerprint)
-        if chain is not None:
-            return chain
-        path = self._chain_path(fingerprint)
-        try:
-            doc = json.loads(path.read_text())
-        except (FileNotFoundError, ValueError, OSError):
-            return None
-        from repro.graphs.delta import chain_from_doc
-
-        chain = chain_from_doc(doc)
-        if chain is not None:
-            self._chains[fingerprint] = chain
-        return chain
+        return self.put(apply_delta_info(self.attach(parent), delta).graph)
 
     # ------------------------------------------------------------------ #
     # attach / inspect
@@ -208,24 +185,25 @@ class GraphStore:
     def attach(self, fingerprint: str) -> WeightedGraph:
         """Materialize the graph for ``fingerprint`` (memoized).
 
-        Resolution order: in-process memo → shared-memory segment →
-        mmap of the blob file.  Raises :class:`UnknownGraphRef` when the
-        fingerprint is nowhere to be found.
+        Resolution order: in-process memo → mmap of the blob file.
+        Raises :class:`UnknownGraphRef` when the fingerprint is nowhere
+        to be found.
         """
         g = self._graphs.get(fingerprint)
         if g is not None:
             return g
-        if self.use_shm:
-            g = self._attach_shm(fingerprint)
-        if g is None:
+        with _LOCK:
+            g = self._graphs.get(fingerprint)
+            if g is not None:
+                return g
             g = self._attach_mmap(fingerprint)
-        if g is None:
-            raise UnknownGraphRef(fingerprint)
-        if g.fingerprint() != fingerprint:
-            raise GraphFormatError(
-                f"stored blob for {fingerprint[:12]}… carries a different "
-                f"fingerprint — store corrupted?")
-        self._graphs[fingerprint] = g
+            if g is None:
+                raise UnknownGraphRef(fingerprint)
+            if g.fingerprint() != fingerprint:
+                raise GraphFormatError(
+                    f"stored blob for {fingerprint[:12]}… carries a "
+                    f"different fingerprint — store corrupted?")
+            self._graphs[fingerprint] = g
         return g
 
     def describe(self, fingerprint: str) -> Dict[str, Any]:
@@ -263,33 +241,34 @@ class GraphStore:
     # ------------------------------------------------------------------ #
 
     def evict(self, fingerprint: str) -> bool:
-        """Drop a graph from the store (memo, blob file, and any shm
-        segment this store owns).  Returns whether anything was removed."""
+        """Drop a graph from the store (memo, mapping and blob file).
+        Returns whether anything was removed.  Another store that has
+        already attached the graph keeps its copy: its mapping outlives
+        the unlinked file."""
         found = fingerprint in self
-        self._graphs.pop(fingerprint, None)
-        self._chains.pop(fingerprint, None)
-        self._release_mapping(fingerprint, unlink_owned=True)
-        for path in (self._path(fingerprint), self._chain_path(fingerprint)):
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass
+        with _LOCK:
+            self._graphs.pop(fingerprint, None)
+            self._release_mapping(fingerprint)
+        with contextlib.suppress(FileNotFoundError):
+            self._path(fingerprint).unlink()
         return found
 
     def close(self) -> None:
-        """Release every mapping; unlink owned shared-memory segments.
+        """Release every mapping and leave the map of open stores.
 
         Safe to call twice.  Attached numpy views may outlive the store
-        (a caller can hold a graph after ``close``); releasing the OS
-        handles is best-effort in that case — the memory itself stays
-        valid until the last view drops.
+        (a caller can hold a graph after ``close``); their mapping then
+        stays valid until the last view drops.
         """
-        if self._closed:
-            return
-        self._closed = True
-        for fp in list(self._owned_shm) + list(self._attached_shm) + list(self._mmaps):
-            self._release_mapping(fp, unlink_owned=True)
-        self._graphs.clear()
+        with _LOCK:
+            if self._closed:
+                return
+            self._closed = True
+            if _STORES.get(self._key) is self:
+                del _STORES[self._key]
+            for fp in list(self._mmaps):
+                self._release_mapping(fp)
+            self._graphs.clear()
 
     def __enter__(self) -> "GraphStore":
         return self
@@ -306,50 +285,6 @@ class GraphStore:
             raise GraphFormatError(f"malformed graph_ref {fingerprint!r}")
         return self.root / f"{fingerprint}{_BLOB_SUFFIX}"
 
-    def _chain_path(self, fingerprint: str) -> Path:
-        self._path(fingerprint)  # same ref validation
-        return self.root / f"{fingerprint}.delta.json"
-
-    def _export_shm(self, fingerprint: str, path: Path) -> None:
-        from multiprocessing import shared_memory
-
-        name = shm_segment_name(fingerprint)
-        data = path.read_bytes()
-        try:
-            shm = shared_memory.SharedMemory(name=name, create=True,
-                                             size=len(data))
-        except FileExistsError:
-            return  # another worker already exported it
-        except OSError:
-            self.use_shm = False  # e.g. /dev/shm missing or full
-            return
-        shm.buf[:len(data)] = data
-        self._owned_shm[fingerprint] = shm
-
-    def _attach_shm(self, fingerprint: str) -> Optional[WeightedGraph]:
-        from multiprocessing import shared_memory
-
-        name = shm_segment_name(fingerprint)
-        try:
-            shm = shared_memory.SharedMemory(name=name)
-        except (FileNotFoundError, OSError):
-            return None
-        # Note on the resource tracker: attaching registers the segment in
-        # this process tree's tracker (Python ≤3.12).  Within the creator's
-        # tree that is an idempotent no-op; from a *different* tree it can
-        # unlink the name early when this tree exits — which is safe
-        # (existing mappings stay valid; later attaches fall back to the
-        # mmap path) and is exactly the crash-cleanup guarantee that keeps
-        # /dev/shm leak-free.  Unregistering here would instead cancel the
-        # creator's cleanup entry whenever trees share a tracker.
-        try:
-            g = graph_io.from_buffer(shm.buf)
-        except GraphFormatError:
-            shm.close()
-            return None
-        self._attached_shm[fingerprint] = shm
-        return g
-
     def _attach_mmap(self, fingerprint: str) -> Optional[WeightedGraph]:
         path = self._path(fingerprint)
         try:
@@ -365,18 +300,7 @@ class GraphStore:
         self._mmaps[fingerprint] = mapping
         return g
 
-    def _release_mapping(self, fingerprint: str, *, unlink_owned: bool) -> None:
-        shm = self._owned_shm.pop(fingerprint, None)
-        if shm is not None:
-            if unlink_owned:
-                try:
-                    shm.unlink()
-                except FileNotFoundError:
-                    pass  # an attacher's tracker already reclaimed it
-            _close_shm(shm)
-        shm = self._attached_shm.pop(fingerprint, None)
-        if shm is not None:
-            _close_shm(shm)
+    def _release_mapping(self, fingerprint: str) -> None:
         mapping = self._mmaps.pop(fingerprint, None)
         if mapping is not None:
             try:
@@ -386,44 +310,28 @@ class GraphStore:
 
 
 # ---------------------------------------------------------------------- #
-# process-global resolution (the pool-worker fast path)
+# process-wide resolution
 # ---------------------------------------------------------------------- #
 
-_STORES: Dict[str, GraphStore] = {}
-
-
-def _close_global_stores() -> None:
-    # atexit: release OS handles before interpreter teardown so that
-    # SharedMemory.__del__ never races live numpy views at shutdown.
-    for store in _STORES.values():
-        store.close()
-    _STORES.clear()
-
-
-import atexit as _atexit  # noqa: E402 — registration belongs next to the memo
-
-_atexit.register(_close_global_stores)
+def _root_key(root: Union[str, Path]) -> str:
+    return str(Path(root).resolve())
 
 
 def get_store(root: Union[str, Path]) -> GraphStore:
-    """Per-process memoized :class:`GraphStore` for ``root``.
+    """The open :class:`GraphStore` over ``root`` in this process.
 
-    Pool workers funnel every :class:`GraphRef` through this, so a
-    long-lived worker attaches each graph once and serves all subsequent
-    jobs from the memo — the zero-copy replacement for per-job graph
-    unpickling.  Attach-only by construction: stores obtained here never
-    own shm segments (they only ever attach), so worker exit cannot tear
-    down the creator's arena.
+    In a server that is the engine's store.  Where none is open — a fleet
+    worker process, a spawned pool worker — this opens an attach-only
+    one and keeps it open for the process's lifetime, so a long-lived
+    worker attaches each graph once and serves later jobs from the memo.
     """
-    key = str(Path(root).resolve())
-    store = _STORES.get(key)
-    if store is None:
-        store = _STORES[key] = GraphStore(key)
-    return store
+    with _LOCK:
+        store = _STORES.get(_root_key(root))
+        return store if store is not None else GraphStore(root)
 
 
 def resolve(ref: GraphRef) -> WeightedGraph:
-    """Materialize a :class:`GraphRef` via the process-global memo."""
+    """Materialize a :class:`GraphRef` through :func:`get_store`."""
     return get_store(ref.root).attach(ref.ref)
 
 
@@ -484,24 +392,3 @@ def atomic_write(path: Union[str, Path], data: bytes) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
-
-
-def _close_shm(shm) -> None:
-    """Close a ``SharedMemory`` handle even when live numpy views pin the
-    buffer.  In that case the mapping is deliberately handed over to the
-    views (the OS reclaims it when the last one drops); the handle's
-    internals are detached so its ``__del__`` does not retry — and fail —
-    at garbage-collection time."""
-    try:
-        shm.close()
-    except BufferError:
-        shm._buf = None
-        shm._mmap = None
-
-
-def _shm_supported() -> bool:
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:
-        return False
-    return os.path.isdir("/dev/shm") or os.name == "nt"

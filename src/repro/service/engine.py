@@ -159,7 +159,10 @@ class SolverEngine:
         # threaded fleet), a directory path, or None — which defaults to
         # <cache_dir>/graphs next to the result cache, or an ephemeral
         # temp store without one.  Stores the engine constructs are
-        # closed (and, if ephemeral, removed) in aclose().
+        # closed (and, if ephemeral, removed) in aclose().  Opened first
+        # over its root, the store is the one in-process jobs resolve
+        # their refs through (repro.graphs.store.get_store), so a job
+        # reads this memo and an eviction here reaches it.
         from repro.graphs.store import GraphStore, ephemeral_store
 
         if graph_store is None or isinstance(graph_store, (str, Path)):
@@ -321,12 +324,11 @@ class SolverEngine:
         """``DELETE /v1/graphs/<ref>`` semantics.
 
         Logical eviction is immediate — :meth:`ref_alive` turns false
-        and new solves/describes 404.  Physical removal (blob, shm
-        segment, memo) is deferred while any in-flight solve holds a pin
-        on the ref, so a solve that already attached the arena completes
-        — and its report stays certified — instead of crashing on a
-        vanished segment.  Returns ``{"evicted": bool, "deferred":
-        bool}``.
+        and new solves/describes 404.  Physical removal (blob file,
+        mapping, memo) is deferred while any admitted solve holds a pin
+        on the ref, so a queued job that has not attached its graph yet
+        still finds it, and its report stays certified.  Returns
+        ``{"evicted": bool, "deferred": bool}``.
         """
         if self._ref_pins.get(fingerprint):
             self._deferred_evictions.add(fingerprint)
@@ -447,8 +449,8 @@ class SolverEngine:
                        trace_id=trace_id)
         if isinstance(request.graph, GraphRef):
             # Pinned until the dispatch loop resolves this entry: a
-            # DELETE racing the solve defers physical eviction instead
-            # of yanking the arena out from under the workers.
+            # DELETE racing the solve defers physical eviction, so the
+            # job still finds the blob when it attaches.
             self._pin_ref(request.graph.ref)
         self._inflight[key] = entry
         # Cannot raise: fullness was checked above and only this

@@ -325,7 +325,7 @@ class FleetRouter(HttpServer):
     # registered through *any* worker is immediately resolvable by all
     # of them — ``POST /v1/graphs`` and ``GET``/``HEAD`` forward to any
     # alive worker.  Two exceptions: ``DELETE`` must also drop each
-    # worker's in-process attach memo and shared-memory mapping, so it
+    # worker's in-process attach memo and blob mapping, so it
     # broadcasts to every alive worker and merges the answers; and
     # ``POST .../deltas`` shards by the parent ref, so one mutating
     # client's delta chain grows on one worker (whose attach memo

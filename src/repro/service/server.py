@@ -326,9 +326,9 @@ class SolverServer(HttpServer):
         doc = {"schema": SCHEMA_VERSION, "graph_ref": ref,
                "evicted": result["evicted"]}
         if result.get("deferred"):
-            # An in-flight solve still holds the arena; the ref is
-            # logically gone (new lookups 404) and physically removed
-            # when the last pinned solve resolves.
+            # An admitted solve still pins the ref; it is logically
+            # gone (new lookups 404) and physically removed when the
+            # last pinned solve resolves.
             doc["deferred"] = True
         return 200, doc
 

@@ -79,8 +79,8 @@ class BatchJob:
 
     ``graph`` may also be a :class:`~repro.graphs.store.GraphRef`: the
     job then pickles as a few hundred bytes and the executing worker
-    attaches the graph zero-copy through its process-global store memo
-    (once per graph per worker, not once per job).  Cache keys only use
+    attaches the graph zero-copy through the open store over the ref's
+    root (once per graph per worker, not once per job).  Cache keys only use
     ``graph.fingerprint()``, so ref jobs and materialized jobs share
     cache entries bit for bit.
     """
@@ -456,9 +456,10 @@ def _execute_job(payload: Tuple[int, BatchJob, int, Optional[BandwidthPolicy]]) 
     with collect_run_telemetry() as collector:
         try:
             if isinstance(job.graph, GraphRef):
-                # Zero-copy resolution: the process-global store memo
-                # attaches each fingerprint once per worker, so repeat
-                # jobs skip graph unpickling entirely.
+                # Zero-copy resolution: the open store over the ref's
+                # root (in a server, the engine's) attaches each
+                # fingerprint once per process, so repeat jobs skip
+                # graph unpickling entirely.
                 t0 = time.perf_counter()
                 job = replace(job, graph=job.graph.resolve())
                 attach_s = time.perf_counter() - t0

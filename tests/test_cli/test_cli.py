@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from repro.api import describe_algorithms, solve
 from repro.cli import main, parse_graph_spec, parse_weight_spec
 from repro.graphs import WeightedGraph
+from repro.registry import algorithm_registry
 
 
 class TestGraphSpecs:
@@ -102,14 +104,25 @@ class TestCommands:
         assert payload["rounds"] == 1
         assert isinstance(payload["independent_set"], list)
 
-    @pytest.mark.parametrize("algo", ["thm1", "thm2", "thm9", "bar-yehuda",
-                                      "mis-luby", "mis-det"])
+    @pytest.mark.parametrize("algo", sorted(algorithm_registry()))
     def test_run_all_algorithms(self, capsys, algo):
+        # `repro run` is the registry entry as repro.api.solve runs it:
+        # same seed, and --eps exactly where the entry declares eps.
         rc = main(["run", "--algorithm", algo, "--graph", "gnp:40,0.1",
-                   "--weights", "integers:50", "--seed", "5", "--json"])
+                   "--weights", "integers:50", "--seed", "5", "--eps", "0.3",
+                   "--json"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["independent_set_size"] >= 1
+        graph = parse_weight_spec("integers:50",
+                                  parse_graph_spec("gnp:40,0.1", 5), 6)
+        entry = next(e for e in describe_algorithms() if e["name"] == algo)
+        params = ({"eps": 0.3} if any(p["name"] == "eps"
+                                      for p in entry["params"]) else {})
+        report = solve(graph, algo, seed=5, **params)
+        assert payload["independent_set_weight"] == report.weight
+        assert payload["rounds"] == report.rounds
+        assert payload["messages"] == report.messages
 
     def test_info(self, capsys):
         rc = main(["info", "--graph", "grid:4,5", "--weights", "unit"])

@@ -1,5 +1,5 @@
 """Content-addressed graph store: put/attach/evict, zero-copy attach,
-cross-store visibility, and shared-memory hygiene.
+cross-store visibility, and one open store per root in a process.
 
 The store is the backbone of solve-by-reference: ``/v1/solve`` with a
 ``graph_ref`` and pickled :class:`~repro.graphs.store.GraphRef` objects
@@ -10,6 +10,8 @@ iteration order, byte-identical solver results.
 
 import multiprocessing
 import os
+import sys
+import threading
 
 import pytest
 
@@ -23,7 +25,6 @@ from repro.graphs.store import (
     ephemeral_store,
     get_store,
     resolve,
-    shm_segment_name,
 )
 from repro.graphs.weighted_graph import WeightedGraph
 
@@ -140,6 +141,65 @@ def test_get_store_memoizes_per_root(tmp_path):
     assert s1 is s2
 
 
+def test_get_store_returns_the_open_store(tmp_path, graph):
+    # The first store opened over a root is the one refs resolve
+    # through; a second one over the same root stays private, and once
+    # the first closes, get_store opens an attach-only store.
+    with GraphStore(tmp_path) as owner, GraphStore(tmp_path) as other:
+        assert get_store(tmp_path) is owner
+        ref = owner.put(graph)
+        assert ref.resolve() is owner.attach(ref.ref)
+        assert other.attach(ref.ref) is not owner.attach(ref.ref)
+    fresh = get_store(tmp_path)
+    assert fresh is not owner and fresh is not other
+    assert fresh.attach(ref.ref) == graph
+
+
+def test_attached_graph_survives_another_stores_evict(tmp_path, graph):
+    # A mapping outlives the unlinked blob file: one store's eviction
+    # never pulls a graph out from under another store that attached it.
+    with GraphStore(tmp_path) as writer:
+        fp = writer.put(graph).ref
+    with GraphStore(tmp_path) as reader, GraphStore(tmp_path) as evictor:
+        attached = reader.attach(fp)
+        assert evictor.evict(fp) is True
+        assert not (tmp_path / f"{fp}.rwg").exists()
+        assert reader.attach(fp) is attached
+        assert (solve(attached, "thm2", seed=3, eps=0.5).to_json()
+                == solve(graph, "thm2", seed=3, eps=0.5).to_json())
+
+
+def test_concurrent_attach_maps_once(tmp_path, graph):
+    # Threads missing the memo at the same time get one graph and one
+    # mapping: a lost update would hand them different instances.
+    with GraphStore(tmp_path) as writer:
+        fp = writer.put(graph).ref
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            with GraphStore(tmp_path) as reader:
+                barrier = threading.Barrier(8)
+                got = []
+
+                def attach():
+                    barrier.wait(timeout=10)
+                    got.append(reader.attach(fp))
+
+                threads = [threading.Thread(target=attach)
+                           for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert len(got) == 8
+                assert all(g is got[0] for g in got)
+                assert list(reader._mmaps) == [fp]
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_ephemeral_store_cleans_up(graph):
     store = ephemeral_store()
     root = store.root
@@ -157,16 +217,6 @@ def test_empty_graph_roundtrips_through_store(tmp_path):
         assert reader.attach(fp) == g
 
 
-def test_no_leaked_shm_segments_after_close(tmp_path, graph):
-    if not os.path.isdir("/dev/shm"):
-        pytest.skip("no /dev/shm on this platform")
-    with GraphStore(tmp_path, use_shm=True) as store:
-        fp = store.put(graph).ref
-        store.attach(fp)
-    assert not os.path.exists(os.path.join("/dev/shm",
-                                           shm_segment_name(fp)))
-
-
 def _child_attach(root, fp, queue):
     from repro.graphs.store import GraphStore
 
@@ -176,7 +226,7 @@ def _child_attach(root, fp, queue):
 
 
 def test_cross_process_attach(tmp_path, graph):
-    # The mmap/shm fallback pair must let a genuinely separate process
+    # The mmap of the blob file must let a genuinely separate process
     # attach the same fingerprint and see the identical graph.
     with GraphStore(tmp_path) as store:
         fp = store.put(graph).ref

@@ -13,8 +13,8 @@ Three contracts under test:
   fell back to the full path — and the envelope says which
   (``served.solve_mode`` + ``served.dirty_frontier``).
 * ``DELETE`` of a ref racing an in-flight solve defers physical
-  eviction instead of yanking the arena: the solve completes, the ref
-  404s immediately, and the blob disappears once the pin drops.
+  eviction: the solve completes, the ref 404s immediately, and the blob
+  disappears once the pin drops.
 """
 
 from __future__ import annotations
@@ -371,7 +371,7 @@ class TestEvictionRace:
             status, env = result["solve"]
             assert status == 200 and env["report"]["ok"], (
                 "the in-flight solve must complete against the pinned "
-                "arena, not crash on a vanished blob")
+                "ref, not crash on a vanished blob")
             # Physical removal happens at unpin; poll briefly for it.
             blob = tmp_path / f"{ref}.rwg"
             deadline = time.time() + 10.0

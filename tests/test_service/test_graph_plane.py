@@ -9,14 +9,13 @@ same canonical JSON — on both execution backends.
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
 from repro.api import SolveRequest, solve
 from repro.graphs import gnp, uniform_weights
 from repro.graphs import io as graph_io
-from repro.graphs.store import shm_segment_name
+from repro.graphs.store import UnknownGraphRef
 from repro.bench.loadgen import register_pool_graphs
 
 from .test_server import ServerThread, http
@@ -153,17 +152,38 @@ class TestGraphRegistry:
             status, _ = http(srv.port, "POST", "/v1/graphs", fake)
             assert status == 413
 
-    def test_no_shm_leak_after_shutdown(self, instance, tmp_path):
+
+class TestOneCopyPerProcess:
+    """In a server process a ``GraphRef`` resolves through the engine's
+    own store: in-process jobs read its memo, and its eviction reaches
+    them."""
+
+    def test_ref_resolves_to_the_engine_stores_graph(self, instance,
+                                                     tmp_path):
         with ServerThread(graph_store=str(tmp_path)) as srv:
             _, reg = http(srv.port, "POST", "/v1/graphs",
                           graph_io.to_bytes(instance))
-            doc = _ref_doc(_request_doc(instance), reg["graph_ref"])
-            status, _ = http(srv.port, "POST", "/v1/solve",
-                             json.dumps(doc).encode())
-            assert status == 200
-        if os.path.isdir("/dev/shm"):
-            seg = shm_segment_name(instance.fingerprint())
-            assert not os.path.exists(os.path.join("/dev/shm", seg))
+            store = srv.engine.graph_store
+            ref = store.ref(reg["graph_ref"])
+            assert ref.resolve() is store.attach(ref.ref)
+
+    def test_unpinned_eviction_reaches_ref_resolution(self, instance,
+                                                      tmp_path):
+        with ServerThread(graph_store=str(tmp_path)) as srv:
+            _, reg = http(srv.port, "POST", "/v1/graphs",
+                          graph_io.to_bytes(instance))
+            ref = srv.engine.graph_store.ref(reg["graph_ref"])
+            doc = {"schema": "v2", "graph": {"ref": ref.ref},
+                   "algorithm": "mis-luby", "seed": 1}
+            status, env = http(srv.port, "POST", "/v1/solve",
+                               json.dumps(doc).encode())
+            assert status == 200 and env["report"]["ok"], env
+            status, out = http(srv.port, "DELETE",
+                               f"/v1/graphs/{ref.ref}")
+            assert status == 200 and out["evicted"] is True
+            assert not out.get("deferred"), out
+            with pytest.raises(UnknownGraphRef):
+                ref.resolve()
 
 
 class TestLoadgenGraphRef:

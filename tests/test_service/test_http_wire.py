@@ -298,6 +298,16 @@ def test_file_spec_reads_nothing_on_the_host(door):
     assert b"Hostile bytes" not in reply.body, reply.body
 
 
+def test_negative_seed_is_400(door):
+    """A seed is a non-negative integer: a negative one is the client's
+    error on both doors, not a solver failure reported with 200."""
+    solve = {"schema": "v2", "algorithm": "mis-luby", "seed": -1,
+             "graph": {"inline": {"spec": "cycle:5"}}}
+    (reply,), _ = exchange(door, http_request(
+        "POST", "/v1/solve", json.dumps(solve).encode()))
+    assert reply.signature() == (400, "bad_request", None), reply
+
+
 def test_unknown_path_is_404_for_every_method(door):
     for method in ("GET", "HEAD", "POST", "DELETE", "PUT"):
         (reply,), _ = exchange(door, http_request(method, "/v1/nowhere"),

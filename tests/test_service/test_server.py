@@ -31,6 +31,7 @@ class ServerThread:
         self._runner = BackgroundServer(SolverServer(
             SolverEngine(**self.engine_kwargs), host="127.0.0.1", port=0))
         self.port = self._runner.port
+        self.engine = self._runner.server.engine
         return self
 
     def __exit__(self, *exc_info):

@@ -1,5 +1,6 @@
 """Tests for the batch-execution engine (simulator/batch.py)."""
 
+import argparse
 import json
 import os
 import sys
@@ -157,9 +158,14 @@ class TestAggregates:
         assert merged.total_bits == res.total_bits
 
     def test_registry_covers_cli_algorithms(self):
-        from repro.cli import _algorithms
+        from repro.cli import build_parser
 
-        assert set(algorithm_registry()) == set(_algorithms())
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        for name in ("run", "sweep", "verify"):
+            option = next(a for a in commands.choices[name]._actions
+                          if "--algorithm" in a.option_strings)
+            assert list(option.choices) == sorted(algorithm_registry())
 
 
 class TestObservability:
