@@ -50,18 +50,24 @@ bench-columnar:
 		--baseline BENCH_runner.json --tolerance 3.0 \
 		--out bench_columnar.json
 
-# Backend byte-identity and the cache sharing it licenses: the
-# golden-sha256 family suite, the backend unit/fallback/cache suite
-# (per-node and columnar twins share one request key and one disk
-# entry), the hypothesis equivalence properties (protocols through
-# run(), every registry algorithm through solve()), and the incremental
-# path finding a parent on disk under either backend — the subset of
-# tier 1 that pins per-node and columnar to identical reports and to
-# one shared cache.
+# Backend byte-identity and the cache sharing it licenses.  Columnar is
+# the default backend; per-node is the reference scheduler, and every
+# test here names it on its reference side (an unnamed side would run
+# columnar).  The golden-sha256 family suite (per-node, columnar and the
+# default), the same goldens and by-ref solves through the graph store,
+# the CSR edge cases (edgeless and zero-node solves), the backend
+# unit/fallback/cache suite (per-node and columnar twins share one
+# request key and one disk entry), the hypothesis equivalence properties
+# (protocols through run(), every registry algorithm through solve()),
+# and the incremental path finding a parent on disk under either
+# backend — the subset of tier 1 that pins columnar to the per-node
+# reference's reports and to one shared cache.
 backend-equivalence: export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 backend-equivalence:
 	$(PYTHON) -m pytest -q \
 		tests/test_faults/test_runner_faults.py \
+		tests/test_graphs/test_store_goldens.py \
+		tests/test_graphs/test_csr_edge_cases.py \
 		tests/test_simulator/test_backends.py \
 		tests/test_properties/test_backend_equivalence.py \
 		"tests/test_service/test_delta_plane.py::TestSolveModeGoldens::test_weight_only_delta_served_from_disk_tier"

@@ -78,8 +78,7 @@ async def _run_cell(args, scratch):
 
     engine = SolverEngine(workers=2, memory_cache=64,
                           cache_dir=str(Path(scratch) / "cache"),
-                          graph_store=str(Path(scratch) / "graphs"),
-                          backend=args.backend)
+                          graph_store=str(Path(scratch) / "graphs"))
     await engine.start()
     try:
         store = engine.graph_store
@@ -109,8 +108,7 @@ async def _run_cell(args, scratch):
             raise AssertionError(
                 f"weight-only delta took mode {served.solve_mode!r}, "
                 "expected incremental (is the memory cache on?)")
-        local = solve(child, args.algorithm, seed=args.seed,
-                      backend=args.backend)
+        local = solve(child, args.algorithm, seed=args.seed)
         if served.report.to_json() != local.to_json():
             raise AssertionError(
                 "incremental report is not byte-identical to the "
@@ -169,7 +167,6 @@ async def _run_cell(args, scratch):
                 "n": parent.n,
                 "m": parent.m,
                 "algorithm": args.algorithm,
-                "backend": args.backend,
                 "seed": args.seed,
                 "epochs": args.epochs,
                 "edit_ops": n_ops,
@@ -205,7 +202,6 @@ def main(argv=None):
     parser.add_argument("--algorithm", default="mis-luby",
                         help="must be weight-oblivious for the "
                         "incremental path")
-    parser.add_argument("--backend", default="columnar")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--min-speedup", type=float, default=3.0)
     parser.add_argument("--keep-bench", action="store_true",

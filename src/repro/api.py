@@ -336,10 +336,9 @@ class SolveRequest:
     * ``timeout_s`` is the deadline the service enforces, and ``label``
       an opaque tag echoed into observability records;
     * ``backend`` selects the execution backend (``"per-node"`` or
-      ``"columnar"``; the empty default leaves the choice to the
-      caller's default).  Backends give byte-identical reports, so
-      per-node and columnar twins coalesce, share cache entries and
-      land on one fleet shard;
+      ``"columnar"``; empty runs the default, columnar).  Backends give
+      byte-identical reports, so per-node and columnar twins coalesce,
+      share cache entries and land on one fleet shard;
     * ``delta`` records the provenance when the graph arrived as
       ``{"delta": {parent, ops}}``, so a delta-form solve keys
       identically to a from-scratch solve of the edited graph.
@@ -684,9 +683,10 @@ def solve(
             (default); pass ``False`` to get the failed report back
             instead — the service's behaviour.
         backend: execution backend name (``"per-node"``/``"columnar"``);
-            ``None`` keeps the per-node default.  Fixed-seed reports are
-            byte-identical across backends, so both read and write the
-            same ``cache_dir`` entry.
+            ``None`` runs the default, columnar (which falls back to the
+            per-node reference scheduler where it must).  Fixed-seed
+            reports are byte-identical across backends, so both read and
+            write the same ``cache_dir`` entry.
         **params: algorithm parameters (e.g. ``eps=0.5``).
 
     Returns:

@@ -107,7 +107,8 @@ def _graph_zoo() -> Dict[str, Any]:
 
 
 # (name, batch algorithm) — strings resolve through algorithm_registry(),
-# the callable is the colouring pipeline above.
+# the callable is the colouring pipeline above.  These cells time the
+# per-node reference scheduler, which they name explicitly.
 _ALGORITHMS: Tuple[Tuple[str, Any], ...] = (
     ("thm8", "thm8"),          # good-nodes single shot (Theorem 8)
     ("thm9", "thm9"),          # sparsify-then-solve (Theorem 9)
@@ -123,11 +124,12 @@ _FULL_GRAPHS = ("gnp60", "gnp300", "grid300", "tree400")
 # ≥10x wall-clock criterion in ROADMAP.md is read from.  mis-det is
 # RNG-free, so its kernel shows the pure array-path speedup; mis-luby
 # is the RNG-bound cell, drawing every node's stream through the
-# column (repro.simulator.randomness.NodeStreams).
-_SCALE_CELLS: Tuple[Tuple[str, str, Optional[str]], ...] = (
-    ("gnp100k", "mis-det", None),
+# column (repro.simulator.randomness.NodeStreams).  Per-node cells keep
+# the bare algorithm name, columnar cells carry "@columnar".
+_SCALE_CELLS: Tuple[Tuple[str, str, str], ...] = (
+    ("gnp100k", "mis-det", "per-node"),
     ("gnp100k", "mis-det", "columnar"),
-    ("gnp200k", "mis-det", None),
+    ("gnp200k", "mis-det", "per-node"),
     ("gnp200k", "mis-det", "columnar"),
     ("gnp100k", "mis-luby", "columnar"),
 )
@@ -145,13 +147,14 @@ def matrix_cells(matrix: str = "full") -> List[Dict[str, Any]]:
 
     Each cell dict carries ``graph_name``, ``graph``, ``alg_name``,
     ``algorithm`` (a registry name or picklable callable), and
-    ``backend`` (``None`` = per-node, or ``"columnar"``).  ``full`` is
-    the classic generator-zoo matrix plus the scale tier; ``scale`` and
-    ``columnar-tiny`` are the scale tier alone and its CI subset.
+    ``backend`` (``"per-node"`` or ``"columnar"``, always named).
+    ``full`` is the classic generator-zoo matrix plus the scale tier;
+    ``scale`` and ``columnar-tiny`` are the scale tier alone and its CI
+    subset.
     """
     if matrix == "tiny":
         graph_names: Sequence[str] = _TINY_GRAPHS
-        extra: Sequence[Tuple[str, str, Optional[str]]] = ()
+        extra: Sequence[Tuple[str, str, str]] = ()
     elif matrix == "full":
         graph_names = _FULL_GRAPHS
         extra = _SCALE_CELLS
@@ -175,13 +178,13 @@ def matrix_cells(matrix: str = "full") -> List[Dict[str, Any]]:
 
     cells = [
         {"graph_name": gname, "graph": graph_of(gname),
-         "alg_name": aname, "algorithm": alg, "backend": None}
+         "alg_name": aname, "algorithm": alg, "backend": "per-node"}
         for gname in graph_names
         for aname, alg in _ALGORITHMS
     ]
     cells.extend(
         {"graph_name": gname, "graph": graph_of(gname),
-         "alg_name": f"{aname}@{backend}" if backend else aname,
+         "alg_name": aname if backend == "per-node" else f"{aname}@{backend}",
          "algorithm": aname, "backend": backend}
         for gname, aname, backend in extra
     )
@@ -227,7 +230,7 @@ def _time_cell(cell: Dict[str, Any], repeats: int) -> Dict[str, Any]:
     graph = cell["graph"]
     jobs = [BatchJob(graph, cell["algorithm"], seed=CELL_SEED,
                      label=f"{cell['graph_name']}/{cell['alg_name']}",
-                     backend=cell.get("backend"))
+                     backend=cell["backend"])
             for _ in range(repeats + 1)]
     result = batch_run(jobs, master_seed=0, n_jobs=1, cache_dir=None)
     failures = result.failures
@@ -244,7 +247,7 @@ def _time_cell(cell: Dict[str, Any], repeats: int) -> Dict[str, Any]:
     return {
         "graph": cell["graph_name"],
         "algorithm": cell["alg_name"],
-        "backend": cell.get("backend") or "per-node",
+        "backend": cell["backend"],
         "n": graph.n,
         "m": graph.m,
         "seconds": best,

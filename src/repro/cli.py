@@ -131,7 +131,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     plan = _fault_plan(args)
 
     with ExitStack() as stack:
-        if args.backend and args.backend != "per-node":
+        if args.backend:
             from repro.simulator.instrument import install_backend
 
             stack.enter_context(install_backend(args.backend))
@@ -269,9 +269,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     graph = parse_weight_spec(args.weights, graph, None if args.seed is None
                               else args.seed + 1)
     params = _eps_params(args.algorithm, args.eps)
-    backend = args.backend if args.backend != "per-node" else None
     jobs = [BatchJob(graph, args.algorithm, params=dict(params),
-                     backend=backend)
+                     backend=args.backend)
             for _ in range(args.seeds)]
     try:
         if args.emit_metrics is not None:
@@ -542,7 +541,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_batch=args.max_batch,
             memory_cache=args.memory_cache,
             worker_id=args.worker_id,
-            backend=args.backend,
             graph_store=args.graph_store,
         )
     except ValueError as exc:
@@ -564,7 +562,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             memory_cache=args.memory_cache,
             max_queue=args.max_queue,
             max_batch=args.max_batch,
-            backend=args.backend,
             scratch_dir=args.scratch,
             graph_store=args.graph_store,
         )
@@ -659,9 +656,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--eps", type=float, default=0.5)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--backend", choices=["per-node", "columnar"],
-                       default="per-node",
-                       help="execution backend (columnar = vectorized "
-                            "rounds, byte-identical results)")
+                       default=None,
+                       help="execution backend (default columnar: "
+                            "vectorized rounds, falling back to the "
+                            "per-node reference scheduler; byte-identical "
+                            "results)")
     p_run.add_argument("--json", action="store_true", help="JSON output")
     p_run.add_argument("--show-set", action="store_true",
                        help="include the chosen node ids")
@@ -706,8 +705,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=0,
                          help="master seed; per-job seeds are derived from it")
     p_sweep.add_argument("--backend", choices=["per-node", "columnar"],
-                         default="per-node",
-                         help="execution backend for every trial")
+                         default=None,
+                         help="execution backend for every trial (default "
+                              "columnar; per-node is the reference "
+                              "scheduler)")
     p_sweep.add_argument("--seeds", type=int, default=10, metavar="N",
                          help="number of derived-seed jobs")
     p_sweep.add_argument("--jobs", type=int, default=1,
@@ -825,10 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--worker-id", default="", metavar="ID",
                          help="tag for health payloads and served envelopes "
                               "when running as a fleet worker")
-    p_serve.add_argument("--backend", choices=["per-node", "columnar"],
-                         default="per-node",
-                         help="default execution backend for requests that "
-                              "do not select one")
     p_serve.add_argument("--graph-store", default=None, metavar="DIR",
                          help="content-addressed graph store directory for "
                               "POST /v1/graphs + graph_ref solves (default: "
@@ -854,9 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-worker admission queue bound")
     p_fleet.add_argument("--max-batch", type=int, default=8,
                          help="per-worker micro-batch size")
-    p_fleet.add_argument("--backend", choices=["per-node", "columnar"],
-                         default="per-node",
-                         help="default execution backend on every worker")
     p_fleet.add_argument("--scratch", default=".fleet", metavar="DIR",
                          help="worker log directory")
     p_fleet.add_argument("--graph-store", default=None, metavar="DIR",

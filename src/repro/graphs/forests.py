@@ -6,11 +6,18 @@ subgraphs ``H`` (the paper's Definition 1).  Theorem 3's approximation
 factor is stated in terms of exact ``α``, so the experiment suite needs a
 certified value, not an estimate.
 
-We compute it constructively: :func:`partition_into_forests` decides, via the
-classic matroid-partition augmenting-path algorithm specialised to graphic
-matroids, whether the edges fit into ``k`` forests — and returns the witness
-decomposition when they do.  :func:`arboricity` searches the smallest such
-``k`` between the trivial density lower bound and the degeneracy upper bound.
+Two cheap bounds sandwich it: the whole-graph Nash–Williams density
+``ceil(m / (n - 1)) <= α`` (Definition 1 with ``H = G``) and the degeneracy
+``α <= d`` (a min-degree peeling order orients every edge towards the later
+endpoint with out-degree at most ``d``, and ``d`` forests cover such an
+orientation).  When the two meet, ``α`` is forced and :func:`arboricity`
+returns it without a search — on trees, paths, grids and cycles they
+always do.  Otherwise we compute it constructively:
+:func:`partition_into_forests` decides, via the classic matroid-partition
+augmenting-path algorithm specialised to graphic matroids, whether the
+edges fit into ``k`` forests — and returns the witness decomposition when
+they do — and :func:`arboricity` searches the smallest such ``k`` between
+the two bounds.
 """
 
 from __future__ import annotations
@@ -189,8 +196,12 @@ def nash_williams_lower_bound(g: WeightedGraph) -> int:
 def arboricity(g: WeightedGraph, *, return_witness: bool = False):
     """Exact arboricity ``α(G)`` (Definition 1), optionally with the witness.
 
-    Searches ``k`` upward from the Nash–Williams whole-graph bound; the
-    degeneracy caps the search, so at most ``~α`` partition attempts run.
+    The Nash–Williams whole-graph bound is a lower bound on ``α`` and the
+    degeneracy an upper bound, so when they are equal that value *is*
+    ``α`` and is returned without partitioning.  Otherwise (or when the
+    witness is asked for) this searches ``k`` upward from the lower
+    bound; the degeneracy caps the search, so at most ``~α`` partition
+    attempts run.  Either way the returned integer is the same.
 
     Args:
         g: input graph.
@@ -202,6 +213,8 @@ def arboricity(g: WeightedGraph, *, return_witness: bool = False):
         return (0, []) if return_witness else 0
     lo = max(1, nash_williams_lower_bound(g))
     hi = max(lo, degeneracy(g))
+    if lo == hi and not return_witness:
+        return lo
     for k in range(lo, hi + 1):
         witness = partition_into_forests(g, k)
         if witness is not None:

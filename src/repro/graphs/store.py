@@ -16,14 +16,16 @@ stand in for the graph everywhere only the fingerprint matters — cache
 keys, request coalescing keys, solve reports — which is what makes
 solve-by-reference byte-identical to solve-with-body for free.
 
-One store per root in a process: a store registers itself as *the* open
-store over its root when the root has none, and :meth:`GraphStore.close`
-removes it.  :meth:`GraphRef.resolve` attaches through that store — in a
-server, the engine's own — so an in-process job reads the engine's memo
-and an eviction reaches every reader in the process.  Where no store is
-open over a ref's root (a fleet worker process, a spawned pool worker),
-:func:`get_store` opens an attach-only one, so a long-lived worker
-attaches each graph once and reuses it across jobs.
+One registered store per root in a process: the first store opened over a
+root is *the* open store there, and :meth:`GraphStore.close` hands that
+role to the next store still open over the root.  :meth:`GraphRef.resolve`
+attaches through the registered store — in a server, the engine's own — so
+an in-process job reads the engine's memo and an eviction reaches every
+reader in the process.  Where no store is open over a ref's root (a fleet
+worker process, a spawned pool worker), :func:`get_store` opens an
+attach-only one, so a long-lived worker attaches each graph once and
+reuses it across jobs; the next store opened over that root takes its
+place and closes it.
 """
 
 from __future__ import annotations
@@ -47,12 +49,13 @@ __all__ = ["GraphRef", "GraphStore", "UnknownGraphRef", "atomic_write",
 
 _BLOB_SUFFIX = ".rwg"
 
-# The open store over each resolved root.  A pool worker forked from a
+# The open stores over each resolved root, oldest first; the first is the
+# registered one that refs resolve through.  A pool worker forked from a
 # server inherits this map, the engine's store included, and attaches
 # through its copy.  That is safe only while workers just attach: a
 # worker must never evict (the blob file is shared) nor close (an
 # ephemeral store's close removes the server's directory).
-_STORES: Dict[str, "GraphStore"] = {}
+_STORES: Dict[str, List["GraphStore"]] = {}
 
 # One lock guards _STORES and every store's memo and mapping dicts.  In a
 # server, the event-loop thread registers, evicts and closes while the
@@ -126,9 +129,16 @@ class GraphStore:
         self._graphs: Dict[str, WeightedGraph] = {}
         self._mmaps: Dict[str, mmap.mmap] = {}    # fingerprint -> mapping
         self._closed = False
+        # Set by get_store on the store it opens for lack of any other.
+        self._attach_only = False
         self._key = _root_key(self.root)
         with _LOCK:
-            _STORES.setdefault(self._key, self)
+            stores = _STORES.get(self._key)
+            if stores and stores[0]._attach_only:
+                # Only get_store's stand-in holds the root: take over, so
+                # refs resolve (and evictions land) in this store's memo.
+                stores[0].close()
+            _STORES.setdefault(self._key, []).append(self)
 
     # ------------------------------------------------------------------ #
     # ingest
@@ -254,7 +264,8 @@ class GraphStore:
         return found
 
     def close(self) -> None:
-        """Release every mapping and leave the map of open stores.
+        """Release every mapping and leave the map of open stores, handing
+        the registration to the next store open over the same root.
 
         Safe to call twice.  Attached numpy views may outlive the store
         (a caller can hold a graph after ``close``); their mapping then
@@ -264,8 +275,11 @@ class GraphStore:
             if self._closed:
                 return
             self._closed = True
-            if _STORES.get(self._key) is self:
-                del _STORES[self._key]
+            stores = _STORES.get(self._key, [])
+            if self in stores:
+                stores.remove(self)
+            if not stores:
+                _STORES.pop(self._key, None)
             for fp in list(self._mmaps):
                 self._release_mapping(fp)
             self._graphs.clear()
@@ -318,16 +332,21 @@ def _root_key(root: Union[str, Path]) -> str:
 
 
 def get_store(root: Union[str, Path]) -> GraphStore:
-    """The open :class:`GraphStore` over ``root`` in this process.
+    """The registered :class:`GraphStore` over ``root`` in this process.
 
     In a server that is the engine's store.  Where none is open — a fleet
     worker process, a spawned pool worker — this opens an attach-only
-    one and keeps it open for the process's lifetime, so a long-lived
-    worker attaches each graph once and serves later jobs from the memo.
+    one and keeps it open until another store opens over ``root``, so a
+    long-lived worker attaches each graph once and serves later jobs
+    from the memo.
     """
     with _LOCK:
-        store = _STORES.get(_root_key(root))
-        return store if store is not None else GraphStore(root)
+        stores = _STORES.get(_root_key(root))
+        if stores:
+            return stores[0]
+        store = GraphStore(root)
+        store._attach_only = True
+        return store
 
 
 def resolve(ref: GraphRef) -> WeightedGraph:

@@ -135,7 +135,6 @@ class SolverEngine:
         registry: Optional[Dict[str, Callable[..., Any]]] = None,
         memory_cache: int = 0,
         worker_id: str = "",
-        backend: str = "per-node",
         graph_store: Optional[Any] = None,
     ) -> None:
         if workers < 1:
@@ -152,7 +151,6 @@ class SolverEngine:
         self.max_batch = max_batch
         self.max_queue = max_queue
         self.worker_id = worker_id
-        self.backend = backend or "per-node"
         # The graph plane: a content-addressed store backing POST
         # /v1/graphs registration and graph_ref solves.  Accepts a
         # GraphStore instance (caller-owned, e.g. shared across a
@@ -551,13 +549,13 @@ class SolverEngine:
         algorithm: Any = request.algorithm
         if self._registry is not None:
             algorithm = self._registry[request.algorithm]
-        # The request's backend wins, otherwise the engine's default; it
-        # chooses how the job runs, and no cache key depends on it.  The
-        # disk key names the registry entry, whether the job carries the
-        # name or an injected callable.
+        # A request that names no backend runs on the default one; the
+        # backend chooses how the job runs, and no cache key depends on
+        # it.  The disk key names the registry entry, whether the job
+        # carries the name or an injected callable.
         return BatchJob(request.graph, algorithm, seed=request.seed,
                         params=dict(request.params), label=request.label,
-                        backend=request.backend or self.backend,
+                        backend=request.backend or None,
                         name=request.algorithm)
 
     def _new_worker_pool(self) -> ProcessPoolExecutor:

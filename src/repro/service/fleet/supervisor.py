@@ -142,7 +142,6 @@ class FleetSupervisor:
         memory_cache: int = 256,
         max_queue: int = 64,
         max_batch: int = 8,
-        backend: str = "per-node",
         scratch_dir: str = ".fleet",
         graph_store: Optional[str] = None,
         host: str = "127.0.0.1",
@@ -158,7 +157,6 @@ class FleetSupervisor:
         self.memory_cache = memory_cache
         self.max_queue = max_queue
         self.max_batch = max_batch
-        self.backend = backend
         self.scratch_dir = scratch_dir
         self.graph_store = graph_store
         self.host = host
@@ -192,8 +190,8 @@ class FleetSupervisor:
             engine = SolverEngine(
                 cache_dir=self.cache_dir, memory_cache=self.memory_cache,
                 max_queue=self.max_queue, max_batch=self.max_batch,
-                worker_id=str(index), backend=self.backend,
-                registry=self.registry, graph_store=self.graph_store)
+                worker_id=str(index), registry=self.registry,
+                graph_store=self.graph_store)
             worker: Any = BackgroundServer(
                 SolverServer(engine, host=self.host, port=0),
                 name=f"fleet-worker-{index}")
@@ -207,7 +205,6 @@ class FleetSupervisor:
                 "--memory-cache", str(self.memory_cache),
                 "--max-queue", str(self.max_queue),
                 "--max-batch", str(self.max_batch),
-                "--backend", self.backend,
                 "--graph-store", (self.graph_store or os.path.join(
                     self.scratch_dir, "graphs")),
             ]

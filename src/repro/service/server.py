@@ -23,9 +23,7 @@ versioned:
   edit script to a stored graph and registers the child under its own
   fingerprint, byte-identical to registering the edited graph from
   scratch.
-* ``GET /v1/health`` — liveness plus drain state, the worker id, and
-  the default execution backend (which no request or cache key
-  includes).
+* ``GET /v1/health`` — liveness plus drain state and the worker id.
 * ``GET /v1/ready`` — readiness: 503 while draining or before the
   engine's worker pool is warm, 200 otherwise.  Liveness and readiness
   are deliberately split so a router can keep a live-but-draining
@@ -157,7 +155,6 @@ class SolverServer(HttpServer):
             "status": "draining" if self.engine.draining else "ok",
             "version": __version__,
             "worker_id": self.engine.worker_id,
-            "backend": self.engine.backend,
         }
 
     async def _ready(self, _call: Call) -> Tuple[int, Dict[str, Any]]:
@@ -170,7 +167,6 @@ class SolverServer(HttpServer):
             "schema": SCHEMA_VERSION,
             "status": state,
             "worker_id": self.engine.worker_id,
-            "backend": self.engine.backend,
         }
 
     async def _metrics(self, call: Call) -> Tuple[Any, ...]:
@@ -485,7 +481,6 @@ def serve(
     banner: bool = True,
     memory_cache: int = 0,
     worker_id: str = "",
-    backend: str = "per-node",
     graph_store: Optional[str] = None,
 ) -> int:
     """Blocking entry point of ``repro serve``.
@@ -495,15 +490,14 @@ def serve(
     startup banner — how the CI smoke finds it).  ``memory_cache`` sizes
     the in-memory LRU report cache (0 disables it); ``worker_id`` tags
     this process in health payloads and served envelopes when it runs as
-    a fleet worker; ``backend`` is the execution backend used for
-    requests that do not select one; ``graph_store`` points the
-    content-addressed graph store at a directory (shared across a fleet
-    so a graph registered on any worker resolves on all of them).
+    a fleet worker; ``graph_store`` points the content-addressed graph
+    store at a directory (shared across a fleet so a graph registered on
+    any worker resolves on all of them).
     """
     engine = SolverEngine(workers=workers, cache_dir=cache_dir,
                           max_queue=max_queue, max_batch=max_batch,
                           memory_cache=memory_cache, worker_id=worker_id,
-                          backend=backend, graph_store=graph_store)
+                          graph_store=graph_store)
     server = SolverServer(engine, host=host, port=port)
     asyncio.run(server.run_until_signal(
         name="repro-serve", detail=f"schema {SCHEMA_VERSION}",

@@ -4,20 +4,23 @@ An :class:`ExecutionBackend` turns a ``(network, algorithm_factory)`` pair
 into a :class:`~repro.simulator.runner.RunResult`.  Two implementations
 ship:
 
+* :class:`ColumnarBackend` (:mod:`repro.simulator.columnar`) — the
+  default (:data:`DEFAULT_BACKEND`).  It executes a whole round as numpy
+  array operations over the CSR structure, using per-algorithm *fleet
+  kernels* (:mod:`repro.fleet`), and falls back to the per-node
+  scheduler, counting each fallback with its reason, whenever exact
+  per-event semantics are needed.
 * :class:`PerNodeBackend` — the slot-indexed per-node scheduler in
   :mod:`repro.simulator.runner`.  This is the *semantics reference*:
   faults, event sinks, codec checks, and arbitrary node programs all work
-  here, and every other backend is pinned byte-identical to it.
-* :class:`ColumnarBackend` (:mod:`repro.simulator.columnar`) — executes a
-  whole round as numpy array operations over the CSR structure, using
-  per-algorithm *fleet kernels* (:mod:`repro.fleet`).  It silently falls
-  back to the per-node scheduler whenever exact per-event semantics are
-  needed, so selecting it is always safe.
+  here, and the columnar backend is pinned byte-identical to it.  Tests
+  that compare backends name it explicitly.
 
-Backends are selected per call (``run(..., backend="columnar")``), or
+Backends are selected per call (``run(..., backend="per-node")``), or
 ambiently for a whole block — including every inner ``run()`` of a
 composed algorithm — with
-:func:`~repro.simulator.instrument.install_backend`.
+:func:`~repro.simulator.instrument.install_backend`.  With neither,
+:data:`DEFAULT_BACKEND` runs.
 """
 
 from __future__ import annotations
@@ -38,9 +41,14 @@ __all__ = [
     "get_backend",
     "normalize_backend_name",
     "BACKEND_NAMES",
+    "DEFAULT_BACKEND",
 ]
 
 BACKEND_NAMES = ("per-node", "columnar")
+
+# What "no backend given" means at every layer: runner.run, BatchJob,
+# repro.solve/sweep, the service engine and the CLI.
+DEFAULT_BACKEND = "columnar"
 
 
 @runtime_checkable
@@ -108,9 +116,10 @@ _INSTANCES: Dict[str, Any] = {}
 
 
 def normalize_backend_name(spec: Optional[Any]) -> str:
-    """Canonical backend name for ``spec`` (``None``/empty → per-node)."""
+    """Canonical backend name for ``spec`` (``None``/empty →
+    :data:`DEFAULT_BACKEND`)."""
     if spec is None or spec == "":
-        return "per-node"
+        return DEFAULT_BACKEND
     if isinstance(spec, str):
         name = spec.strip().lower()
         if name in BACKEND_NAMES:
@@ -127,9 +136,9 @@ def normalize_backend_name(spec: Optional[Any]) -> str:
 def get_backend(spec: Optional[Any]) -> ExecutionBackend:
     """Resolve a backend name or instance to an :class:`ExecutionBackend`.
 
-    Accepts ``"per-node"``, ``"columnar"``, ``None``/``""`` (per-node),
-    or any object with an ``execute`` method (returned unchanged, so
-    tests can install bespoke backends).
+    Accepts ``"per-node"``, ``"columnar"``, ``None``/``""``
+    (:data:`DEFAULT_BACKEND`), or any object with an ``execute`` method
+    (returned unchanged, so tests can install bespoke backends).
     """
     if spec is not None and not isinstance(spec, str):
         if callable(getattr(spec, "execute", None)):

@@ -97,7 +97,7 @@ class BatchJob:
     faults: Optional[Any] = None
     # Optional execution backend name ("per-node"/"columnar"), installed
     # ambiently around the job so every inner run() of a composed
-    # algorithm uses it.  None means the scheduler default (per-node).
+    # algorithm uses it.  None means the default backend (columnar).
     backend: Optional[str] = None
     # The registry name of a callable ``algorithm`` (the service's
     # engine injects registry entries as callables): it names the job
@@ -108,7 +108,8 @@ class BatchJob:
 
     @property
     def backend_name(self) -> str:
-        """Canonical backend name for this job (``"per-node"`` default).
+        """Canonical backend name for this job (``None`` is
+        :data:`~repro.simulator.backends.DEFAULT_BACKEND`, columnar).
 
         Unknown strings pass through verbatim so that listing/keying a
         malformed job never raises — the run itself reports the error.
@@ -124,10 +125,13 @@ class BatchJob:
     def algorithm_name(self) -> str:
         """The outcome's label: :attr:`cache_name` with ``@<backend>``
         after the algorithm for a non-default backend.  Sweeps aggregate
-        per (algorithm, backend) cell — the bench matrix shows
-        "mis-det@columnar" next to "mis-det"."""
+        per (algorithm, backend) cell — a sweep comparing backends shows
+        "mis-det@per-node" next to "mis-det"."""
+        from repro.simulator.backends import DEFAULT_BACKEND
+
         backend = self.backend_name
-        return self._name("" if backend == "per-node" else f"@{backend}")
+        return self._name("" if backend == DEFAULT_BACKEND
+                          else f"@{backend}")
 
     @property
     def cache_name(self) -> str:
@@ -414,8 +418,8 @@ def _cache_store(cache_dir: str, key: str, outcome: JobOutcome) -> None:
 def _cache_hit(hit: JobOutcome, job: BatchJob, lookup_s: float) -> JobOutcome:
     """A loaded entry relabelled for the job that asked: its ``label``,
     and its ``algorithm_name`` — one entry serves every backend, so a
-    columnar job reads back ``"mis-det@columnar"`` from the entry a
-    per-node run wrote as ``"mis-det"``."""
+    per-node job reads back ``"mis-det@per-node"`` from the entry a
+    columnar run wrote as ``"mis-det"``."""
     return _with_stage(replace(hit, label=job.label,
                                algorithm=job.algorithm_name),
                        "cache_lookup", lookup_s)

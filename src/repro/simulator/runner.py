@@ -1,7 +1,10 @@
 """The synchronous round scheduler.
 
 ``run`` executes one :class:`~repro.simulator.algorithm.NodeAlgorithm` per
-node of a network until every node halts (or a round limit trips).  Message
+node of a network until every node halts (or a round limit trips), through
+an execution backend (:mod:`repro.simulator.backends`; columnar unless the
+caller names one).  This module's ``_execute_per_node`` is the per-node
+reference scheduler every backend is pinned to and falls back on.  Message
 delivery is the standard synchronous model: everything queued in round ``r``
 is delivered at the start of round ``r + 1``; bandwidth is checked per
 message against the :class:`~repro.simulator.models.BandwidthPolicy`.
@@ -121,12 +124,15 @@ def run(
             ``"columnar"``), an
             :class:`~repro.simulator.backends.ExecutionBackend` instance,
             or ``None`` to use the innermost backend installed with
-            :func:`~repro.simulator.instrument.install_backend` (falling
-            back to the per-node scheduler).  The columnar backend
-            vectorizes whole rounds over the CSR structure for supported
-            algorithms and produces byte-identical results; it defers to
-            the per-node scheduler whenever exact per-event semantics are
-            required (faults, sinks, codec checks, unknown algorithms).
+            :func:`~repro.simulator.instrument.install_backend`, else
+            :data:`~repro.simulator.backends.DEFAULT_BACKEND` (columnar).
+            The columnar backend vectorizes whole rounds over the CSR
+            structure for supported algorithms and produces
+            byte-identical results; it defers to the per-node scheduler,
+            counting the fallback with its reason, whenever exact
+            per-event semantics are required (faults, sinks, codec
+            checks, algorithms without a kernel).  ``"per-node"`` names
+            the reference scheduler.
 
     Returns:
         A :class:`RunResult` with per-node outputs and metrics.
@@ -136,28 +142,13 @@ def run(
         if isinstance(graph_or_network, Network)
         else Network.of(graph_or_network)
     )
-    chosen = backend if backend is not None else ambient_backend()
-    if chosen is not None:
-        from repro.obs.telemetry import record_backend_run
-        from repro.simulator.backends import get_backend
-
-        resolved = get_backend(chosen)
-        record_backend_run(getattr(resolved, "name", str(chosen)))
-        return resolved.execute(
-            network,
-            algorithm_factory,
-            policy=policy,
-            seed=seed,
-            max_rounds=max_rounds,
-            trace=trace,
-            sink=sink,
-            codec_check=codec_check,
-            faults=faults,
-        )
     from repro.obs.telemetry import record_backend_run
+    from repro.simulator.backends import get_backend
 
-    record_backend_run("per-node")
-    return _execute_per_node(
+    chosen = backend if backend is not None else ambient_backend()
+    resolved = get_backend(chosen)
+    record_backend_run(getattr(resolved, "name", str(chosen)))
+    return resolved.execute(
         network,
         algorithm_factory,
         policy=policy,

@@ -41,8 +41,11 @@ class TestMatrix:
         assert {"mis-det", "mis-det@columnar", "mis-luby@columnar"} <= algs
 
     def test_scale_cells_record_their_backend(self, full_cells):
+        # Every cell names its backend: the default is columnar, so a
+        # per-node cell that named none would time the wrong scheduler.
         by_alg = {c["alg_name"]: c for c in full_cells}
-        assert by_alg["mis-det"]["backend"] is None
+        assert by_alg["mis-det"]["backend"] == "per-node"
+        assert by_alg["thm1"]["backend"] == "per-node"
         assert by_alg["mis-det@columnar"]["backend"] == "columnar"
         assert len(by_alg["mis-det@columnar"]["graph"].nodes) >= 100_000
 
@@ -64,6 +67,7 @@ class TestMeasurement:
         assert doc["matrix"] == "tiny"
         assert len(doc["cells"]) == len(matrix_cells("tiny"))
         for cell in doc["cells"]:
+            assert cell["backend"] == "per-node"
             assert cell["seconds"] > 0
             assert cell["rounds"] > 0
             assert cell["messages"] > 0

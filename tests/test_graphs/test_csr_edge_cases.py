@@ -59,7 +59,7 @@ class TestEdgelessSolves:
 
         g = graph_from_spec("gnp:6,0", 3)
         assert g.m == 0
-        for backend in (None, "columnar"):
+        for backend in ("per-node", "columnar"):
             report = solve(g, "thm8", seed=1, backend=backend)
             assert report.ok
             assert sorted(report.independent_set) == list(range(6))
@@ -70,7 +70,7 @@ class TestEdgelessSolves:
         from repro.api import solve
 
         g = WeightedGraph.empty(0)
-        for backend in (None, "columnar"):
+        for backend in ("per-node", "columnar"):
             report = solve(g, "mis-det", seed=0, backend=backend)
             assert report.ok
             assert report.independent_set == ()

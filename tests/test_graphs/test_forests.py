@@ -1,6 +1,8 @@
 """Unit tests for degeneracy, forest partitioning, and exact arboricity."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import event, example, given, settings
 
 from repro.exceptions import GraphError
 from repro.graphs import (
@@ -136,3 +138,74 @@ class TestArboricity:
             a = arboricity(g)
             d = degeneracy(g)
             assert nash_williams_lower_bound(g) <= a <= d <= max(2 * a - 1, 1)
+
+
+@st.composite
+def _families(draw):
+    """Trees, paths, cycles, grids, cliques, unions of k random spanning
+    trees and small gnp graphs: the first four always meet the bounds,
+    cliques beyond K_3 and most dense gnp draws do not."""
+    kind = draw(st.sampled_from(["tree", "path", "cycle", "grid", "clique",
+                                 "spanning-trees", "gnp"]))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 16))
+    if kind == "tree":
+        return random_tree(draw(st.integers(2, 40)), seed=seed)
+    if kind == "path":
+        return path(draw(st.integers(2, 40)))
+    if kind == "cycle":
+        return cycle(draw(st.integers(3, 40)))
+    if kind == "grid":
+        return grid_2d(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    if kind == "clique":
+        return complete(draw(st.integers(2, 9)))
+    if kind == "spanning-trees":
+        return union_of_random_forests(draw(st.integers(2, 20)),
+                                       draw(st.integers(1, 4)), seed=seed)
+    return gnp(draw(st.integers(2, 20)), draw(st.floats(0.05, 0.7)),
+               seed=seed)
+
+
+class TestBoundsShortcut:
+    """``arboricity`` skips the partition search when the Nash–Williams
+    lower bound equals the degeneracy; the answer must not change."""
+
+    @given(g=_families())
+    @example(g=grid_2d(5, 4))      # bounds meet: 2 = 2
+    @example(g=complete(6))        # bounds differ: 3 < 5
+    @settings(max_examples=150, deadline=None)
+    def test_shortcut_agrees_with_the_witness_search(self, g):
+        if g.m == 0:
+            event("no edges")
+        elif max(1, nash_williams_lower_bound(g)) == degeneracy(g):
+            event("bounds meet")
+        else:
+            event("bounds differ")
+        alpha = arboricity(g)
+        got, forests = arboricity(g, return_witness=True)
+        assert alpha == got
+        assert len(forests) == alpha
+        covered = [e for f in forests for e in f]
+        assert len(covered) == g.m
+        assert set(covered) == set(g.edges())
+        for f in forests:
+            assert _forest_is_acyclic(f)
+
+    def test_meeting_bounds_skip_the_partition_search(self, monkeypatch):
+        from repro.graphs import forests
+        from repro.graphs.specs import graph_from_spec
+
+        calls = []
+
+        def counting(g, k):
+            calls.append(k)
+            return partition_into_forests(g, k)
+
+        monkeypatch.setattr(forests, "partition_into_forests", counting)
+        g = graph_from_spec("grid:25,24", 0)
+        assert nash_williams_lower_bound(g) == degeneracy(g) == 2
+        assert arboricity(g) == 2
+        assert calls == []
+        # The witness is what a caller asks the search for.
+        alpha, witness = arboricity(g, return_witness=True)
+        assert alpha == 2 and len(witness) == 2
+        assert calls == [2]

@@ -144,7 +144,7 @@ def test_get_store_memoizes_per_root(tmp_path):
 def test_get_store_returns_the_open_store(tmp_path, graph):
     # The first store opened over a root is the one refs resolve
     # through; a second one over the same root stays private, and once
-    # the first closes, get_store opens an attach-only store.
+    # both close, get_store opens an attach-only store.
     with GraphStore(tmp_path) as owner, GraphStore(tmp_path) as other:
         assert get_store(tmp_path) is owner
         ref = owner.put(graph)
@@ -153,6 +153,41 @@ def test_get_store_returns_the_open_store(tmp_path, graph):
     fresh = get_store(tmp_path)
     assert fresh is not owner and fresh is not other
     assert fresh.attach(ref.ref) == graph
+
+
+def test_registration_survives_a_close(tmp_path):
+    # Two stores over one root (a threaded fleet's workers): closing the
+    # registered one hands refs to the other, so its eviction reaches
+    # every resolve in the process.
+    g = uniform_weights(gnp(50, 0.1, seed=1), 1, 20, seed=2)
+    a = GraphStore(tmp_path)
+    b = GraphStore(tmp_path)
+    try:
+        ref = b.put(g)
+        a.close()
+        assert get_store(tmp_path) is b
+        assert ref.resolve() == g
+        b.evict(ref.ref)
+        with pytest.raises(UnknownGraphRef):
+            ref.resolve()
+        assert get_store(tmp_path) is b
+    finally:
+        b.close()
+
+
+def test_opened_store_takes_over_from_attach_only(tmp_path, graph):
+    # get_store's stand-in holds the root only until a store opens there:
+    # from then on refs resolve through, and evict in, the new store.
+    with GraphStore(tmp_path) as writer:
+        ref = writer.put(graph)
+    stand_in = get_store(tmp_path)
+    assert stand_in.attach(ref.ref) == graph
+    with GraphStore(tmp_path) as owner:
+        assert get_store(tmp_path) is owner
+        assert ref.resolve() is owner.attach(ref.ref)
+        owner.evict(ref.ref)
+        with pytest.raises(UnknownGraphRef):
+            ref.resolve()
 
 
 def test_attached_graph_survives_another_stores_evict(tmp_path, graph):

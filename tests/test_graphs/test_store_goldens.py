@@ -59,14 +59,17 @@ def attached(tmp_path):
     g = _golden_graph()
     with GraphStore(tmp_path) as writer:
         fp = writer.put(g).ref
-    # A fresh store has no memo: this attach materializes from the
-    # persisted blob (shm or mmap), exactly what a worker process does.
+    # A fresh store has no memo: this attach materializes from an mmap
+    # of the persisted blob, exactly what a worker process does.
     with GraphStore(tmp_path) as reader:
         yield reader.attach(fp)
 
 
 def test_family_goldens_hold_on_attached_graph(attached):
-    _assert_goldens_on(attached)
+    from repro.simulator.instrument import install_backend
+
+    with install_backend("per-node"):
+        _assert_goldens_on(attached)
 
 
 def test_family_goldens_hold_on_attached_graph_columnar(attached):
@@ -83,7 +86,6 @@ def test_solve_by_ref_matches_solve_by_graph(tmp_path, backend):
     g = _golden_graph()
     with GraphStore(tmp_path) as store:
         ref = store.put(g)
-        kwargs = {} if backend == "per-node" else {"backend": backend}
-        a = solve(g, "thm2", seed=42, eps=0.5, **kwargs)
-        b = solve(ref, "thm2", seed=42, eps=0.5, **kwargs)
+        a = solve(g, "thm2", seed=42, eps=0.5, backend=backend)
+        b = solve(ref, "thm2", seed=42, eps=0.5, backend=backend)
         assert a.to_json() == b.to_json()

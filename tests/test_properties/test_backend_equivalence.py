@@ -83,7 +83,7 @@ n_bounds = st.one_of(st.none(), st.sampled_from([1625, 1626]),
 def test_columnar_backend_is_byte_identical(g, fi, seed, n_bound):
     factory = FACTORIES[fi]
     net = Network.of(g, n_bound)
-    base = run(net, factory, seed=seed)
+    base = run(net, factory, seed=seed, backend="per-node")
     col = run(net, factory, seed=seed, backend="columnar")
     assert col.outputs == base.outputs
     assert col.metrics.to_dict() == base.metrics.to_dict()
@@ -97,7 +97,8 @@ REGISTRY_NAMES = sorted(algorithm_registry())
 @settings(max_examples=100, deadline=None)
 def test_every_registry_report_is_byte_identical_across_backends(g, seed):
     for name in REGISTRY_NAMES:
-        base = solve(g, name, seed=seed, raise_on_error=False)
+        base = solve(g, name, seed=seed, backend="per-node",
+                     raise_on_error=False)
         col = solve(g, name, seed=seed, backend="columnar",
                     raise_on_error=False)
         assert col.to_json() == base.to_json(), name

@@ -129,7 +129,7 @@ def test_string_entropy_falls_back_to_per_node():
     with pytest.raises(FleetFallback) as info:
         fr.streams
     assert info.value.reason == "rng"
-    base = run(g, LubyMIS, seed=seed)
+    base = run(g, LubyMIS, seed=seed, backend="per-node")
     col = run(g, LubyMIS, seed=seed, backend="columnar")
     assert col.outputs == base.outputs
     assert col.metrics.to_dict() == base.metrics.to_dict()

@@ -170,21 +170,21 @@ class TestSolveModeGoldens:
     def test_weight_only_delta_served_from_disk_tier(self, instance,
                                                      tmp_path, backend):
         # No memory tier: the parent's report can only come from the
-        # shared disk cache, under the key every backend shares.
+        # shared disk cache, under the key every backend shares.  Both
+        # requests name their backend.
         v = instance.nodes[0]
         ops = [["set_weight", v, 50.0]]
         child = apply_delta(instance, GraphDelta.of(ops))
-        with ServerThread(cache_dir=str(tmp_path), memory_cache=0,
-                          backend=backend) as srv:
+        with ServerThread(cache_dir=str(tmp_path), memory_cache=0) as srv:
             parent = _register(srv.port, instance)
             warm = {"schema": "v2", "graph": {"ref": parent},
-                    "algorithm": "mis-luby", "seed": 5}
+                    "algorithm": "mis-luby", "seed": 5, "backend": backend}
             status, _ = http(srv.port, "POST", "/v1/solve",
                              json.dumps(warm).encode())
             assert status == 200
             status, env = http(srv.port, "POST", "/v1/solve",
-                               json.dumps(_delta_solve_doc(parent, ops)
-                                          ).encode())
+                               json.dumps(_delta_solve_doc(
+                                   parent, ops, backend=backend)).encode())
             assert status == 200
             assert env["served"]["solve_mode"] == "incremental"
             assert env["served"]["cache_tier"] == "disk"

@@ -247,7 +247,7 @@ class TestHealthAndReadiness:
             for worker_id, entry in doc["workers"].items():
                 assert entry["alive"]
                 assert entry["worker_id"] == worker_id
-                assert entry["backend"] == "per-node"
+                assert "backend" not in entry
         finally:
             fleet.close()
 
@@ -266,7 +266,7 @@ class TestHealthAndReadiness:
         /v1/ready flips to 503 (not serviceable)."""
 
         async def scenario():
-            engine = SolverEngine(worker_id="w9", backend="per-node")
+            engine = SolverEngine(worker_id="w9")
             server = SolverServer(engine, host="127.0.0.1", port=0)
             port = await server.start()
             client = HttpClient("127.0.0.1", port)
@@ -284,7 +284,7 @@ class TestHealthAndReadiness:
         h_before, r_before, h_after, r_after = asyncio.run(scenario())
         assert h_before[0] == 200
         assert json.loads(h_before[1])["worker_id"] == "w9"
-        assert json.loads(h_before[1])["backend"] == "per-node"
+        assert "backend" not in json.loads(h_before[1])
         assert r_before[0] == 200
         assert json.loads(r_before[1])["status"] == "ready"
         assert json.loads(r_before[1])["worker_id"] == "w9"

@@ -220,7 +220,8 @@ class TestSolveEndpoint:
         assert "unknown backend" in doc["error"]["message"]
 
     def test_columnar_backend_response_byte_identical(self, instance):
-        request = SolveRequest(graph=instance, algorithm="thm8", seed=5)
+        request = SolveRequest(graph=instance, algorithm="thm8", seed=5,
+                               backend="per-node")
         columnar = SolveRequest(graph=instance, algorithm="thm8", seed=5,
                                 backend="columnar")
         with ServerThread() as server:

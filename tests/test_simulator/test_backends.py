@@ -3,13 +3,16 @@
 Pins three things:
 
 * selection — ``run(backend=...)``, ambient :func:`install_backend`,
-  name normalization, and custom backend objects;
+  name normalization, custom backend objects, and the columnar default;
 * equivalence — for every protocol with a fleet kernel, the columnar
   backend's outputs *and* metrics match the per-node reference exactly,
   including on empty / edgeless / isolated-node graphs;
 * fallback — faults, event sinks, codec checks, unregistered programs,
-  and kernel :class:`FleetFallback` all silently reach the per-node
-  scheduler with unchanged results.
+  and kernel :class:`FleetFallback` all reach the per-node scheduler
+  with unchanged results, each handover counted with its reason.
+
+Every reference side names ``"per-node"``: with no backend given, the
+columnar default would run on both sides of a comparison.
 """
 
 import pytest
@@ -25,6 +28,7 @@ from repro.mis.ghaffari import GhaffariMIS
 from repro.mis.luby import LubyMIS
 from repro.simulator.backends import (
     BACKEND_NAMES,
+    DEFAULT_BACKEND,
     PerNodeBackend,
     get_backend,
     normalize_backend_name,
@@ -64,16 +68,18 @@ def _signature(res):
 
 
 def _equivalent(graph, factory, seed=7, **kwargs):
-    base = run(graph, factory, seed=seed, **kwargs)
+    base = run(graph, factory, seed=seed, backend="per-node", **kwargs)
     col = run(graph, factory, seed=seed, backend="columnar", **kwargs)
     assert _signature(col) == _signature(base)
     return base, col
 
 
 class TestSelection:
-    def test_normalize_defaults_to_per_node(self):
-        assert normalize_backend_name(None) == "per-node"
-        assert normalize_backend_name("") == "per-node"
+    def test_normalize_defaults_to_columnar(self):
+        assert DEFAULT_BACKEND == "columnar"
+        assert normalize_backend_name(None) == "columnar"
+        assert normalize_backend_name("") == "columnar"
+        assert normalize_backend_name("per-node") == "per-node"
 
     def test_normalize_known_names(self):
         for name in BACKEND_NAMES:
@@ -89,7 +95,9 @@ class TestSelection:
 
     def test_get_backend_caches_singletons(self):
         assert get_backend("columnar") is get_backend("columnar")
-        assert get_backend(None).name == "per-node"
+        assert get_backend("per-node") is get_backend("per-node")
+        assert get_backend(None) is get_backend("columnar")
+        assert get_backend("per-node").name == "per-node"
 
     def test_get_backend_passes_through_custom_objects(self):
         class Custom:
@@ -147,7 +155,8 @@ class TestEquivalence:
 
         g = _graph(40, 0.1, seed=3)
         for name, fn in sorted(algorithm_registry().items()):
-            base = fn(g, seed=11)
+            with install_backend("per-node"):
+                base = fn(g, seed=11)
             with install_backend("columnar"):
                 col = fn(g, seed=11)
             assert sorted(col.independent_set) == sorted(base.independent_set), name
@@ -160,7 +169,7 @@ class TestFallback:
         # emits; the columnar backend must hand over, not go silent.
         g = _graph(12, 0.3, seed=2)
         t1, t2 = Trace(), Trace()
-        run(g, LocalMinimaMIS, seed=4, trace=t1)
+        run(g, LocalMinimaMIS, seed=4, trace=t1, backend="per-node")
         run(g, LocalMinimaMIS, seed=4, trace=t2, backend="columnar")
         assert [e.kind for e in t2.events] == [e.kind for e in t1.events]
         assert t2.events  # and there were events to see
@@ -169,7 +178,8 @@ class TestFallback:
         from repro.faults import MessageLoss
 
         g = _graph(14, 0.3, seed=6)
-        base = run(g, LubyMIS, seed=4, faults=MessageLoss(0.5))
+        base = run(g, LubyMIS, seed=4, faults=MessageLoss(0.5),
+                   backend="per-node")
         col = run(g, LubyMIS, seed=4, faults=MessageLoss(0.5),
                   backend="columnar")
         assert _signature(col) == _signature(base)
@@ -266,10 +276,24 @@ class TestFallbackReasons:
         from repro.obs.telemetry import collect_run_telemetry
 
         with collect_run_telemetry() as col:
-            run(_graph(), GhaffariMIS, seed=7)
+            run(_graph(), GhaffariMIS, seed=7, backend="per-node")
         assert col.backend_runs == {"per-node": 1}
         assert col.fallbacks == {}
         assert col.kernels == {}
+
+    def test_unnamed_backend_runs_the_columnar_default(self):
+        from repro.faults import MessageLoss
+        from repro.obs.telemetry import collect_run_telemetry
+
+        with collect_run_telemetry() as col:
+            run(_graph(), GhaffariMIS, seed=7)
+            # A fault plan still reaches the reference scheduler, and the
+            # handover is counted with its reason.
+            run(_graph(14, 0.3, seed=6), LubyMIS, seed=4,
+                faults=MessageLoss(0.5))
+        assert col.backend_runs == {"columnar": 2}
+        assert col.kernels["GhaffariMIS"]["runs"] == 1
+        assert col.fallbacks == {("LubyMIS", "faults"): 1}
 
 
 class TestBatchAndCache:
@@ -294,14 +318,16 @@ class TestBatchAndCache:
 
         g = _graph(16, 0.2, seed=2)
         cache = str(tmp_path)
-        first = run_job(BatchJob(g, "mis-det", seed=5), cache_dir=cache)
+        first = run_job(BatchJob(g, "mis-det", seed=5, backend="per-node"),
+                        cache_dir=cache)
         assert not first.cached
+        assert first.algorithm == "mis-det@per-node"
         # Same computation through the other backend: a hit on the
         # per-node entry, relabelled for the job that asked ...
         col = run_job(BatchJob(g, "mis-det", seed=5, backend="columnar"),
                       cache_dir=cache)
         assert col.cached
-        assert col.algorithm == "mis-det@columnar"
+        assert col.algorithm == "mis-det"
         assert col.signature()[2:] == first.signature()[2:]
         # ... with the same report bytes, from one entry on disk.
         reports = [SolveReport.from_outcome(o, graph=g, algorithm="mis-det",
@@ -313,13 +339,17 @@ class TestBatchAndCache:
     def test_backend_name_reaches_algorithm_label(self):
         from repro.simulator.batch import BatchJob
 
-        job = BatchJob(_graph(6), "mis-det", backend="columnar")
-        assert job.algorithm_name == "mis-det@columnar"
+        # Only a backend other than the default tags the label.
+        job = BatchJob(_graph(6), "mis-det", backend="per-node")
+        assert job.algorithm_name == "mis-det@per-node"
+        for backend in (None, "columnar"):
+            job = BatchJob(_graph(6), "mis-det", backend=backend)
+            assert job.algorithm_name == "mis-det"
 
     def test_solve_reports_byte_identical_across_backends(self):
         from repro.api import solve
 
         g = _graph(30, 0.12, seed=4)
-        a = solve(g, "thm8", seed=9)
-        b = solve(g, "thm8", seed=9, backend="columnar")
+        a = solve(g, "thm8", seed=9, backend="per-node")
+        b = solve(g, "thm8", seed=9)
         assert a.to_json() == b.to_json()
